@@ -299,20 +299,36 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def _plain_int(value, what: str) -> int:
+    # type() rather than isinstance(): bool is an int subclass, and a
+    # true multiplicity must not be read as 1.
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def certificate_from_dict(data: dict) -> Certificate:
+    """Parse a certificate document, rejecting anything but exact integers.
+
+    Raises :class:`RootSystemError` for missing keys, non-integer or
+    boolean numbers, root coordinates not of the rank's length, and a d
+    or parabolic index outside ``1..rank``.
+    """
     try:
-        rst = RootSystemType(str(data["family"]).upper(), int(data["rank"]))
-        entries = tuple(
-            (tuple(int(x) for x in e["root_coords"]), int(e["multiplicity"]))
-            for e in data["entries"]
-        )
-        return Certificate(
-            rst=rst,
-            omitted=int(data["parabolic_omitted_index"]),
-            d=int(data["d"]),
-            entries=entries,
-            origin="file",
-        )
+        rank = _plain_int(data["rank"], "rank")
+        rst = RootSystemType(str(data["family"]).upper(), rank)
+        omitted = _plain_int(data["parabolic_omitted_index"], "parabolic_omitted_index")
+        d = _plain_int(data["d"], "d")
+        for what, index in (("parabolic_omitted_index", omitted), ("d", d)):
+            if not 1 <= index <= rank:
+                raise ValueError(f"{what} {index} not in 1..{rank}")
+        entries = []
+        for e in data["entries"]:
+            coords = tuple(_plain_int(x, "root coordinate") for x in e["root_coords"])
+            if len(coords) != rank:
+                raise ValueError(f"root_coords {list(coords)} has length {len(coords)}, rank is {rank}")
+            entries.append((coords, _plain_int(e["multiplicity"], "multiplicity")))
+        return Certificate(rst=rst, omitted=omitted, d=d, entries=tuple(entries), origin="file")
     except (KeyError, TypeError, ValueError) as exc:
         raise RootSystemError(f"malformed certificate data: {exc}") from exc
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Optional
 
 from .rootsystem import (
@@ -157,15 +158,59 @@ def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple
 # shortest extremal-weight paths
 # ---------------------------------------------------------------------------
 
+def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
+    """Cost of a cheapest walk from ``start`` that clears the residual ``v0``.
+
+    ``successors(state, v)`` yields ``(cost, child, v2)``.  Children whose
+    residual goes negative, that ``estimate`` declares hopeless, or whose
+    cost-plus-estimate exceeds ``bound`` are dropped.  The estimator is
+    consistent, so each state is settled once at its exact distance and
+    the first state popped with a zero residual ends the search.  Equal
+    estimates pop deepest first, which walks straight down the
+    tight-estimate corridor.  Returns ``None`` if nothing fits in ``bound``.
+    """
+    h0 = estimate(v0)
+    if h0 is None or (bound is not None and h0 > bound):
+        return None
+    heap = [(h0, 0, start, v0)]
+    settled = set()
+    while heap:
+        f, negg, state, v = heapq.heappop(heap)
+        if state in settled:
+            continue
+        if not any(v):
+            return -negg
+        settled.add(state)
+        g = -negg
+        for r, child, v2 in successors(state, v):
+            if min(v2) < 0 or child in settled:
+                continue
+            h = estimate(v2)
+            if h is None or (bound is not None and g + r + h > bound):
+                continue
+            heapq.heappush(heap, (g + r + h, -(g + r), child, v2))
+    return None
+
+
 @lru_cache(maxsize=None)
 def _search_data(rst: RootSystemType, d: int, relaxed: bool):
+    """Usable roots at d, the extremal-weight ladder over them, the estimator."""
     rs = build(rst)
     idxs = allowed_root_indices(rs, d, relaxed)
-    coroots = tuple(rs._coroots[k] for k in idxs)
-    funds = tuple(rs._fund_coords[k] for k in idxs)
     rootcos = tuple(rs.positive_roots[k] for k in idxs)
-    estimate = _make_estimator(rst, rootcos)
-    return idxs, coroots, funds, rootcos, estimate
+    edges = tuple((rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k]) for k in idxs)
+
+    def ladder(chi, v):
+        # chi -> s_beta(chi) = chi - r*beta at cost r = <chi, beta^vee> >= 1;
+        # the residual v tracks the root coordinates of chi + omega_d, so it
+        # reaches zero exactly at -omega_d.
+        for cv, fk, rc in edges:
+            r = sum(a * b for a, b in zip(chi, cv))
+            if r >= 1:
+                yield (r, tuple(a - r * b for a, b in zip(chi, fk)),
+                       tuple(a - r * b for a, b in zip(v, rc)))
+
+    return rootcos, ladder, _make_estimator(rst, rootcos)
 
 
 def _make_estimator(rst: RootSystemType, rootcos):
@@ -206,48 +251,12 @@ def _make_estimator(rst: RootSystemType, rootcos):
 @lru_cache(maxsize=None)
 def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
     rs = build(rst)
-    tw = _target_cached(rst, parab, d)
-    _, coroots, funds, rootcos, estimate = _search_data(rst, d, relaxed)
+    _, ladder, estimate = _search_data(rst, d, relaxed)
     source = source_weight(rs, parab, d)
-    sink = tuple(-x for x in rs.fundamental_weight(d))
-    if source == sink:
-        return 0
-    T = tw.root_coords
-    h0 = estimate(T)
-    if h0 is None:
+    m = _astar(source, _target_cached(rst, parab, d).root_coords, ladder, estimate)
+    if m is None:
         raise InternalInconsistencyError(f"{rst} d={d}: sink unreachable from {source}")
-    # A* over extremal weights; the residual vector v tracks the root
-    # coordinates of chi + omega_d and must stay nonnegative on any path
-    # that can still reach -omega_d.  Equal-estimate entries pop deepest
-    # first, which walks straight down the tight-estimate corridor.
-    heap = [(h0, 0, source, T)]
-    settled = set()
-    nroots = len(coroots)
-    while heap:
-        f, negg, node, v = heapq.heappop(heap)
-        if node in settled:
-            continue
-        if node == sink:
-            return -negg
-        settled.add(node)
-        g = -negg
-        for k in range(nroots):
-            cv = coroots[k]
-            r = sum(a * b for a, b in zip(node, cv))
-            if r < 1:
-                continue
-            rc = rootcos[k]
-            v2 = tuple(a - r * b for a, b in zip(v, rc))
-            if any(x < 0 for x in v2):
-                continue
-            h = estimate(v2)
-            if h is None:
-                continue
-            fk = funds[k]
-            child = tuple(a - r * b for a, b in zip(node, fk))
-            if child not in settled:
-                heapq.heappush(heap, (g + r + h, -(g + r), child, v2))
-    raise InternalInconsistencyError(f"{rst} d={d}: sink unreachable from {source}")
+    return m
 
 
 def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False) -> int:
@@ -256,82 +265,36 @@ def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool =
     return _dijkstra_cached(rs.rst, parabolic, d, bool(relaxed))
 
 
-@lru_cache(maxsize=None)
-def _witness_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool):
-    """Distance-to-sink map restricted to nodes on some cheapest path budget."""
-    rs = build(rst)
-    tw = _target_cached(rst, parab, d)
-    _, coroots, funds, rootcos, estimate = _search_data(rst, d, relaxed)
-    source = source_weight(rs, parab, d)
-    sink = tuple(-x for x in rs.fundamental_weight(d))
-    m = _dijkstra_cached(rst, parab, d, relaxed)
-    T = tw.root_coords
-    # Backward Dijkstra from the sink over reversed edges, pruned to the
-    # diamond 0 <= v <= T; drop every node whose total budget exceeds m.
-    dts = {}
-    heap = [(0, sink, (0,) * rs.rank)]
-    nroots = len(coroots)
-    while heap:
-        g, node, v = heapq.heappop(heap)
-        if node in dts:
-            continue
-        est = estimate(tuple(a - b for a, b in zip(T, v)))
-        if est is None or g + est > m:
-            continue
-        dts[node] = g
-        for k in range(nroots):
-            cv = coroots[k]
-            r = -sum(a * b for a, b in zip(node, cv))
-            if r < 1:
-                continue
-            rc = rootcos[k]
-            v2 = tuple(a + r * b for a, b in zip(v, rc))
-            if any(a > b for a, b in zip(v2, T)):
-                continue
-            fk = funds[k]
-            parent = tuple(a + r * b for a, b in zip(node, fk))
-            if parent not in dts:
-                heapq.heappush(heap, (g + r, parent, v2))
-    if dts.get(source) != m:
-        raise InternalInconsistencyError(f"{rst} d={d}: witness search disagrees with order")
-    return dts
-
-
 def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False):
     """One canonical cheapest path as ``(cost, steps, nodes)``.
 
     ``steps`` is a tuple of ``(root_coords, r)``; ``nodes`` the visited
-    weights from source to sink.  Ties are broken toward the
-    lexicographically smallest successor weight, so the witness is
-    reproducible run to run.
+    weights from source to sink.  The path is walked greedily from the
+    source: at each step the successors are tried in lexicographic order
+    of their weight, and the first one whose exact distance to the sink,
+    probed by an A* bounded by the budget left, equals that budget is
+    taken.  So ties go to the lexicographically smallest successor
+    weight and the witness is reproducible run to run.
     """
     rs._check_index(d)
     relaxed = bool(relaxed)
-    dts = _witness_cached(rs.rst, parabolic, d, relaxed)
-    _, coroots, funds, rootcos, _ = _search_data(rs.rst, d, relaxed)
-    source = source_weight(rs, parabolic, d)
-    sink = tuple(-x for x in rs.fundamental_weight(d))
-    cur = source
+    m = _dijkstra_cached(rs.rst, parabolic, d, relaxed)
+    _, ladder, estimate = _search_data(rs.rst, d, relaxed)
+    cur = source_weight(rs, parabolic, d)
+    v = _target_cached(rs.rst, parabolic, d).root_coords
+    left = m
     nodes = [cur]
     steps = []
-    while cur != sink:
-        best = None
-        for k in range(len(coroots)):
-            r = sum(a * b for a, b in zip(cur, coroots[k]))
-            if r < 1:
-                continue
-            child = tuple(a - r * b for a, b in zip(cur, funds[k]))
-            dc = dts.get(child)
-            if dc is not None and dc == dts[cur] - r:
-                cand = (child, rootcos[k], r)
-                if best is None or child < best[0]:
-                    best = cand
-        if best is None:
-            raise InternalInconsistencyError("witness reconstruction lost the path")
-        cur = best[0]
+    while any(v):
+        for r, child, v2 in sorted(ladder(cur, v), key=lambda e: e[1]):
+            if _astar(child, v2, ladder, estimate, left - r) == left - r:
+                break
+        else:
+            raise InternalInconsistencyError("witness walk lost the path")
+        steps.append((tuple((a - b) // r for a, b in zip(v, v2)), r))
+        cur, v, left = child, v2, left - r
         nodes.append(cur)
-        steps.append((best[1], best[2]))
-    return dts[source], tuple(steps), tuple(nodes)
+    return m, tuple(steps), tuple(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -340,40 +303,18 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
 
 @lru_cache(maxsize=None)
 def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> Optional[int]:
-    rs = build(rst)
-    tw = _target_cached(rst, parab, d)
-    T = tw.root_coords
-    if not any(T):
-        return 0
-    _, _, _, rootcos, estimate = _search_data(rst, d, relaxed)
+    rootcos, _, estimate = _search_data(rst, d, relaxed)
+
     # Shortest path in the lattice-point DAG: states are the nonnegative
     # residual vectors below the target, each edge subtracts one usable
     # root at unit cost.  Exact by exhaustion; no ladder constraint.
-    h0 = estimate(T)
-    if h0 is None:
-        return None
-    zero = (0,) * rs.rank
-    heap = [(h0, 0, T)]
-    settled = set()
-    while heap:
-        f, negg, res = heapq.heappop(heap)
-        if res in settled:
-            continue
-        if res == zero:
-            return -negg
-        settled.add(res)
-        g = -negg
+    def subtract(res, _):
         for rc in rootcos:
-            res2 = tuple(a - b for a, b in zip(res, rc))
-            if any(x < 0 for x in res2):
-                continue
-            if res2 in settled:
-                continue
-            h = estimate(res2)
-            if h is None:
-                continue
-            heapq.heappush(heap, (g + 1 + h, -(g + 1), res2))
-    return None
+            res2 = tuple(map(sub, res, rc))
+            yield 1, res2, res2
+
+    T = _target_cached(rst, parab, d).root_coords
+    return _astar(T, T, subtract, estimate)
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,

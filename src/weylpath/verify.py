@@ -342,7 +342,6 @@ def clear_caches() -> None:
     _vanishing._target_cached.cache_clear()
     _vanishing._search_data.cache_clear()
     _vanishing._dijkstra_cached.cache_clear()
-    _vanishing._witness_cached.cache_clear()
     _vanishing._lattice_cached.cache_clear()
     _verify_cached.cache_clear()
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .rootsystem import Parabolic, Root, RootSystem, RootSystemError, Weight
 
 WeylWord = tuple
@@ -126,14 +124,10 @@ def orbit(rs: RootSystem, weight: Sequence) -> list:
     Breadth-first closure under the simple reflections; node identity is
     exact equality of fundamental coordinates.  Rejects non-dominant
     seeds (normalize first: every orbit meets the dominant cone once).
-    Integral weights take a vectorized path; coordinates stay far below
-    the int64 range for every supported rank.
     """
     seed = tuple(weight)
     if not is_dominant(seed):
         raise RootSystemError(f"orbit seed must be dominant, got {seed}")
-    if all(isinstance(x, int) for x in seed):
-        return _orbit_integral(rs, seed)
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -146,26 +140,6 @@ def orbit(rs: RootSystem, weight: Sequence) -> list:
                         seen.add(img)
                         nxt.append(img)
         frontier = nxt
-    return sorted(seen)
-
-
-def _orbit_integral(rs: RootSystem, seed) -> list:
-    cols = np.array(rs.cartan, dtype=np.int64).T  # cols[i] = alpha_{i+1} in fundamental coords
-    seen = {seed}
-    frontier = np.array([seed], dtype=np.int64)
-    while len(frontier):
-        images = []
-        for i in range(rs.rank):
-            wi = frontier[:, i]
-            mask = wi != 0
-            if mask.any():
-                images.append(frontier[mask] - wi[mask, None] * cols[i][None, :])
-        if not images:
-            break
-        cand = np.unique(np.concatenate(images), axis=0)
-        fresh = [t for t in map(tuple, cand.tolist()) if t not in seen]
-        seen.update(fresh)
-        frontier = np.array(fresh, dtype=np.int64) if fresh else np.empty((0, rs.rank), dtype=np.int64)
     return sorted(seen)
 
 

@@ -9,6 +9,7 @@ from weylpath import (
     dijkstra_order, dump_certificate, epsilon_to_root, load_certificate,
     path_certificate,
 )
+from weylpath.cli import main
 
 
 def P(rank, d):
@@ -148,3 +149,61 @@ def test_malformed_certificate_data_rejected():
             "family": "Q", "rank": 5, "parabolic_omitted_index": 1, "d": 1,
             "entries": [],
         })
+
+
+# -- hostile certificate documents --------------------------------------------
+
+def _mutate(kind):
+    """JSON text of the E7/P7, d=7 catalog certificate with one defect."""
+    doc = certificate_to_dict(catalog_certificate(build("E7"), P(7, 7), 7))
+    entry = doc["entries"][0]
+    if kind == "true_multiplicity":
+        entry["multiplicity"] = True
+    elif kind == "float_multiplicity":
+        entry["multiplicity"] = 1.9
+    elif kind == "huge_multiplicity":
+        entry["multiplicity"] = "HUGE"
+    elif kind == "float_root_coords":
+        entry["root_coords"][0] += 0.5
+    elif kind == "integral_float_root_coords":
+        entry["root_coords"][0] = float(entry["root_coords"][0])
+    elif kind == "short_root_coords":
+        entry["root_coords"].pop()
+    elif kind == "long_root_coords":
+        entry["root_coords"].append(0)
+    elif kind == "d_above_rank":
+        doc["d"] = 8
+    elif kind == "d_zero":
+        doc["d"] = 0
+    elif kind == "parabolic_above_rank":
+        doc["parabolic_omitted_index"] = 8
+    return json.dumps(doc).replace('"HUGE"', "1e400")
+
+
+MALFORMED = ["true_multiplicity", "float_multiplicity", "huge_multiplicity",
+             "float_root_coords", "integral_float_root_coords", "short_root_coords",
+             "long_root_coords", "d_above_rank", "d_zero", "parabolic_above_rank"]
+
+
+def test_unmutated_document_parses_and_is_valid():
+    cert = certificate_from_dict(json.loads(_mutate(None)))
+    assert check_certificate(build("E7"), cert).valid
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_malformed_document_rejected(kind):
+    with pytest.raises(RootSystemError, match="malformed certificate data"):
+        certificate_from_dict(json.loads(_mutate(kind)))
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_check_cert_cli_rejects_malformed(kind, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(_mutate(kind))
+    code = main(["check-cert", str(path)])
+    out = capsys.readouterr()
+    assert code != 0
+    assert out.out == ""
+    assert out.err.startswith("error: malformed certificate data")
+    assert out.err.count("\n") == 1
+    assert "Traceback" not in out.err

@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 from weylpath import (
     Certificate, Parabolic, build,
     apply_word, check_certificate, coefficient_lower_bound, dijkstra_order,
@@ -5,6 +9,7 @@ from weylpath import (
     target_weight, vanishing_result,
 )
 from weylpath.certificates import catalog_certificate, epsilon_to_root
+from weylpath.vanishing import _search_data
 
 
 def P(rank, d):
@@ -154,6 +159,37 @@ def test_chain_of_bounds():
             assert lat is not None and lat <= m
             if ca is not None:
                 assert ca <= lat
+
+
+# -- search estimator --------------------------------------------------------
+
+@pytest.mark.parametrize("label,p", [("A5", 3), ("B5", 5), ("C5", 1), ("D6", 3),
+                                     ("E6", 4), ("F4", 2), ("G2", 1)])
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
+    # The forward probes behind shortest_path are exact only for a
+    # consistent estimator: h(v) <= 1 + h(v - beta) for every usable beta.
+    rng = random.Random(f"{label}/{p}/{relaxed}")
+    rs = build(label)
+    parab = P(rs.rank, p)
+    for d in range(1, rs.rank + 1):
+        T = target_weight(rs, parab, d).root_coords
+        rootcos, _, estimate = _search_data(rs.rst, d, relaxed)
+        residuals = [T, (0,) * rs.rank] + [
+            tuple(rng.randint(0, t) for t in T) for _ in range(60)
+        ]
+        for v in residuals:
+            h = estimate(v)
+            for beta in rootcos:
+                rest = tuple(a - b for a, b in zip(v, beta))
+                if min(rest) < 0:
+                    continue
+                h2 = estimate(rest)
+                if h2 is None:
+                    assert h is None
+                else:
+                    assert h is not None and h <= 1 + h2, (d, v, beta)
+        assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
 
 
 # -- coefficient bound --------------------------------------------------------

@@ -1,7 +1,12 @@
+import importlib
+import importlib.util
+import inspect
 import json
+import sys
+from pathlib import Path
 
 from weylpath import (
-    Parabolic, build, dim_quotient, list_minuscule,
+    Parabolic, build, clear_caches, dim_quotient, list_minuscule,
     report_from_json, report_to_dict, report_to_json, report_to_markdown,
     suite_to_dict, suite_to_json, suite_to_markdown,
     tabulated_configurations, verify, verify_suite,
@@ -116,3 +121,41 @@ def test_suite_serialization():
     md = suite_to_markdown(suite)
     assert "overall: ok" in md
     assert suite_to_dict(suite)["reports"]
+
+
+# -- cold starts and the traced benchmark ------------------------------------
+
+def _weylpath_caches():
+    """Every functools cache at module or class level in weylpath's modules."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name != "weylpath" and not name.startswith("weylpath."):
+            continue
+        for value in vars(module).values():
+            candidates = [value]
+            if inspect.isclass(value) and value.__module__ == name:
+                candidates += [getattr(a, "__func__", getattr(a, "fget", a))
+                               for a in vars(value).values()]
+            for obj in candidates:
+                if hasattr(obj, "cache_info") and hasattr(obj, "cache_clear"):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
+def test_clear_caches_empties_every_cache():
+    verify("B", 3, omitted=3, relaxed_edges=True, with_witnesses=True)
+    caches = _weylpath_caches()
+    assert [c for c in caches if c.cache_info().currsize]
+    clear_caches()
+    assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
+
+
+def test_traced_layers_resolve():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for functions in tracing.LAYERS.values():
+        for module, name in functions:
+            assert callable(getattr(importlib.import_module(f"weylpath.{module}"), name, None)), \
+                f"weylpath.{module}.{name}"
