@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import Sequence
 
 Weight = tuple  # fundamental-weight coordinates, ints or Fractions
@@ -199,8 +200,10 @@ class RootSystem:
 
     Positive roots are enumerated by reflection closure of the simple
     roots (keep images with all coordinates >= 0) and frozen in
-    (height, lexicographic) order.  All derived pairing data is
-    precomputed once; instances are safe to share between threads.
+    (height, lexicographic) order.  The integer pairing data is
+    precomputed once; the rational inverse of the Cartan matrix, needed
+    only by :meth:`to_root_basis`, is computed on its first call.
+    Instances are safe to share between threads.
     """
 
     __slots__ = (
@@ -213,7 +216,7 @@ class RootSystem:
         self.rst = rst
         self.rank = rst.rank
         self.cartan, self.sym = _cartan_and_symmetrizers(rst)
-        self._cartan_inv = _invert_integer_matrix(self.cartan)
+        self._cartan_inv = None
         self.positive_roots = self._close_positive_roots()
         self._pos_set = frozenset(self.positive_roots)
         self._root_index = {c: k for k, c in enumerate(self.positive_roots)}
@@ -227,10 +230,9 @@ class RootSystem:
         halfnorm, coroots, fund = [], [], []
         A, dvec = self.cartan, self.sym
         for c in self.positive_roots:
-            nn = sum(
-                c[i] * c[j] * dvec[i] * A[i][j]
-                for i in range(self.rank) for j in range(self.rank)
-            )
+            f = tuple(sum(A[i][j] * c[j] for j in range(self.rank)) for i in range(self.rank))
+            # (beta, beta) = sum_ij c_i d_i A_ij c_j = sum_i c_i d_i <beta, alpha_i^vee>
+            nn = sum(ci * di * fi for ci, di, fi in zip(c, dvec, f))
             if nn <= 0 or nn % 2:
                 raise RootSystemError(f"{rst}: bad norm {nn} for root {c}")
             hn = nn // 2
@@ -242,7 +244,7 @@ class RootSystem:
                 cv.append(num // hn)
             halfnorm.append(hn)
             coroots.append(tuple(cv))
-            fund.append(tuple(sum(A[i][j] * c[j] for j in range(self.rank)) for i in range(self.rank)))
+            fund.append(f)
         self._halfnorm = tuple(halfnorm)
         self._coroots = tuple(coroots)
         self._fund_coords = tuple(fund)
@@ -334,6 +336,8 @@ class RootSystem:
     def to_root_basis(self, weight: Sequence) -> tuple:
         """Simple-root coordinates of a weight, as exact Fractions."""
         inv = self._cartan_inv
+        if inv is None:
+            inv = self._cartan_inv = _invert_integer_matrix(self.cartan)
         out = []
         for i in range(self.rank):
             v = sum(inv[i][j] * Fraction(weight[j]) for j in range(self.rank))
@@ -399,26 +403,19 @@ def eps_from_root_coords(rst: RootSystemType, coords: Sequence) -> tuple:
 
     Uses the standard realizations: alpha_i = e_i - e_{i+1} in every
     classical family, with alpha_n = e_n (B), 2e_n (C), e_{n-1} + e_n (D).
+    So e_i carries c_i - c_{i-1} (with c_0 = 0), except in the last
+    entries, which the last simple root changes.
     """
-    n = rst.rank
-    c = list(coords)
+    c = coords
     fam = rst.family
     if fam == "A":
-        full = [0] + c + [0]
-        return tuple(full[i] - full[i - 1] for i in range(1, n + 2))
+        return tuple(map(sub, (*c, 0), (0, *c)))
     if fam == "B":
-        prev = [0] + c
-        return tuple(prev[i + 1] - prev[i] for i in range(n))
+        return tuple(map(sub, c, (0, *c)))
     if fam == "C":
-        out = [c[0]] + [c[i] - c[i - 1] for i in range(1, n - 1)]
-        out.append(2 * c[n - 1] - (c[n - 2] if n >= 2 else 0))
-        return tuple(out)
+        return (*map(sub, c[:-1], (0, *c)), 2 * c[-1] - c[-2])
     if fam == "D":
-        out = [c[0]] + [c[i] - c[i - 1] for i in range(1, n - 2)]
-        base = c[n - 3] if n >= 3 else 0
-        out.append(c[n - 2] + c[n - 1] - base)
-        out.append(c[n - 1] - c[n - 2])
-        return tuple(out)
+        return (*map(sub, c[:-2], (0, *c)), c[-2] + c[-1] - c[-3], c[-1] - c[-2])
     raise RootSystemError(f"{rst} has no epsilon realization here")
 
 

@@ -35,7 +35,7 @@ from .rootsystem import (
     Parabolic, Root, RootSystem, RootSystemError, RootSystemType, Weight, build,
     eps_from_root_coords,
 )
-from .weylgroup import apply_word, longest_element, weyl_involution
+from .weylgroup import longest_element
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -117,21 +117,48 @@ class VanishingResult:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _target_cached(rst: RootSystemType, parab: Parabolic, d: int) -> TargetWeight:
+def _longest_words(rst: RootSystemType, parab: Parabolic) -> tuple:
+    """(w0, tau): reduced words of the longest elements of W and of the Levi."""
     rs = build(rst)
-    tau = longest_element(rs, parab.retained)
-    chi0 = apply_word(rs, tau, weyl_involution(rs, rs.fundamental_weight(d)))
-    value = tuple(a + b for a, b in zip(rs.fundamental_weight(d), chi0))
-    coords = rs.to_root_basis(value)
-    out = []
-    for x in coords:
-        if x.denominator != 1 or x < 0:
-            raise InternalInconsistencyError(
-                f"{rst} P={sorted(parab.omitted)} d={d}: target has coordinates {coords}, "
-                "expected nonnegative integers"
-            )
-        out.append(int(x))
-    return TargetWeight(d=d, value=value, root_coords=tuple(out))
+    return longest_element(rs), longest_element(rs, parab.retained)
+
+
+def _apply_word_lowering(rs: RootSystem, word, weight) -> tuple:
+    """``apply_word`` together with the root coordinates of weight - image.
+
+    s_i(mu) = mu - mu_i alpha_i, so the drop is summed per letter in
+    integers while the word acts, last letter first.
+    """
+    cols = tuple(zip(*rs.cartan))  # cols[i]: fundamental coordinates of alpha_{i+1}
+    mu = tuple(weight)
+    drop = [0] * rs.rank
+    for i in reversed(word):
+        k = mu[i - 1]
+        if k:
+            drop[i - 1] += k
+            mu = tuple(a - k * b for a, b in zip(mu, cols[i - 1]))
+    return mu, drop
+
+
+@lru_cache(maxsize=None)
+def _target_cached(rst: RootSystemType, parab: Parabolic, d: int) -> TargetWeight:
+    # The two words lower w0(omega_d) = omega_d - b and tau(lam) = lam - c,
+    # lam = -w0(omega_d), with b and c summed in root coordinates; so the
+    # target omega_d + tau(lam) is exactly b - c, integral by construction.
+    # It is a sum of positive roots, which the check below confirms.
+    rs = build(rst)
+    w0, tau = _longest_words(rst, parab)
+    omega = rs.fundamental_weight(d)
+    img, b = _apply_word_lowering(rs, w0, omega)
+    chi0, c = _apply_word_lowering(rs, tau, tuple(-x for x in img))
+    value = tuple(a + x for a, x in zip(omega, chi0))
+    coords = tuple(map(sub, b, c))
+    if min(coords) < 0:
+        raise InternalInconsistencyError(
+            f"{rst} P={sorted(parab.omitted)} d={d}: target has coordinates {coords}, "
+            "expected nonnegative integers"
+        )
+    return TargetWeight(d=d, value=value, root_coords=coords)
 
 
 def target_weight(rs: RootSystem, parabolic: Parabolic, d: int) -> TargetWeight:
@@ -218,16 +245,17 @@ def _make_estimator(rst: RootSystemType, rootcos):
 
     Combines two arguments: per simple index j, the residual coefficient
     divided by the largest j-coefficient among the usable roots; and, in
-    the classical families, half the L1 norm in epsilon coordinates,
-    since every classical root moves at most two epsilon units.  Returns
-    None for residuals no combination of usable roots can clear.
+    the classical families, the L1 norm of the residual in epsilon
+    coordinates divided by the largest L1 norm of a usable root (at most
+    two), since each unit of cost moves at most that many epsilon units.
+    Returns None for residuals no combination of usable roots can clear.
     """
     rank = rst.rank
     maxcoef = tuple(max(c[j] for c in rootcos) for j in range(rank))
     classical = rst.family in "ABCD"
     maxstep = 0
     if classical:
-        maxstep = max(sum(abs(x) for x in eps_from_root_coords(rst, c)) for c in rootcos)
+        maxstep = max(sum(map(abs, eps_from_root_coords(rst, c))) for c in rootcos)
 
     def estimate(v) -> Optional[int]:
         h = 0
@@ -239,7 +267,7 @@ def _make_estimator(rst: RootSystemType, rootcos):
                 if q > h:
                     h = q
         if classical:
-            l1 = sum(abs(x) for x in eps_from_root_coords(rst, v))
+            l1 = sum(map(abs, eps_from_root_coords(rst, v)))
             q = -(-l1 // maxstep)
             if q > h:
                 h = q

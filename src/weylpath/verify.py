@@ -25,6 +25,7 @@ what carry the identity.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -335,15 +336,17 @@ def suite_to_json(suite: SuiteReport) -> str:
 
 
 def clear_caches() -> None:
-    """Drop every memoized computation (used for cold-start timing)."""
-    from . import rootsystem as _rootsystem
-    from . import vanishing as _vanishing
-    _rootsystem._build_cached.cache_clear()
-    _vanishing._target_cached.cache_clear()
-    _vanishing._search_data.cache_clear()
-    _vanishing._dijkstra_cached.cache_clear()
-    _vanishing._lattice_cached.cache_clear()
-    _verify_cached.cache_clear()
+    """Drop every memoized computation (used for cold-start timing).
+
+    The package's modules are scanned for functools caches defined in
+    them, so a cache added anywhere is cleared without being listed.
+    """
+    package = __name__.rpartition(".")[0]
+    for name, module in list(sys.modules.items()):
+        if name == package or name.startswith(package + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name:
+                    value.cache_clear()
 
 
 def suite_to_markdown(suite: SuiteReport) -> str:

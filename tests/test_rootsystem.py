@@ -190,3 +190,14 @@ def test_eps_transforms_round_trip():
             c = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
             eps = eps_from_root_coords(rs.rst, c)
             assert root_coords_from_eps(rs.rst, eps) == c
+
+
+def test_eps_round_trip_on_random_lattice_vectors():
+    rng = random.Random(4)
+    for label in ALL_LABELS:
+        rst = RootSystemType.parse(label)
+        if rst.family not in "ABCD":
+            continue
+        for _ in range(40):
+            v = tuple(rng.randint(-9, 9) for _ in range(rst.rank))
+            assert root_coords_from_eps(rst, eps_from_root_coords(rst, v)) == v, (label, v)

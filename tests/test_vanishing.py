@@ -1,12 +1,13 @@
 import random
+import sys
 
 import pytest
 
 from weylpath import (
     Certificate, Parabolic, build,
-    apply_word, check_certificate, coefficient_lower_bound, dijkstra_order,
+    apply_word, check_certificate, clear_caches, coefficient_lower_bound, dijkstra_order,
     lattice_lower_bound, longest_element, shortest_path, source_weight,
-    target_weight, vanishing_result,
+    target_weight, vanishing_result, verify, weyl_involution,
 )
 from weylpath.certificates import catalog_certificate, epsilon_to_root
 from weylpath.vanishing import _search_data
@@ -53,6 +54,53 @@ def test_source_is_negated_longest_image():
             lhs = source_weight(rs, parab, d)
             rhs = tuple(-x for x in apply_word(rs, tau, apply_word(rs, w0, rs.fundamental_weight(d))))
             assert lhs == rhs
+
+
+TARGET_LABELS = (
+    [f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", TARGET_LABELS)
+def test_integer_target_matches_rational_reference(label):
+    # Reference: the target from the public Weyl-group functions, taken to
+    # root coordinates through the rational inverse of the Cartan matrix.
+    rs = build(label)
+    for p in range(1, rs.rank + 1):
+        parab = P(rs.rank, p)
+        tau = longest_element(rs, parab.retained)
+        for d in range(1, rs.rank + 1):
+            omega = rs.fundamental_weight(d)
+            want = tuple(a + b for a, b in zip(omega, apply_word(rs, tau, weyl_involution(rs, omega))))
+            coords = rs.to_root_basis(want)
+            assert all(x.denominator == 1 for x in coords), (label, p, d, coords)
+            tw = target_weight(rs, parab, d)
+            assert tw.value == want, (label, p, d)
+            assert tw.root_coords == coords, (label, p, d)
+
+
+def test_cold_verify_computes_longest_words_once(monkeypatch):
+    # w0 and tau depend on the system and the parabolic only, so a cold
+    # verify must not compute them again for every d.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return longest_element(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weylpath") and getattr(module, "longest_element", None) is longest_element:
+            monkeypatch.setattr(module, "longest_element", counting)
+    for family, ranks in (("A", (4, 8)), ("B", (3, 6))):
+        counts = []
+        for n in ranks:
+            clear_caches()
+            calls.clear()
+            verify(family, n, omitted=n, with_witnesses=True)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2, (family, counts)
+    clear_caches()
 
 
 # -- path oracle ------------------------------------------------------------
