@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import sub
 from typing import Sequence
 
@@ -420,47 +421,36 @@ def eps_from_root_coords(rst: RootSystemType, coords: Sequence) -> tuple:
 
 
 def root_coords_from_eps(rst: RootSystemType, eps: Sequence) -> tuple:
-    """Simple-root coordinates of an epsilon vector; exact, may be Fractions."""
-    n = rst.rank
-    v = [Fraction(x) for x in eps]
-    fam = rst.family
-    if fam == "A":
-        if len(v) != n + 1 or sum(v) != 0:
-            raise RootSystemError(f"type A epsilon vector must have length {n + 1} and sum 0")
-        out, run = [], Fraction(0)
-        for i in range(n):
-            run += v[i]
-            out.append(run)
-    elif fam == "B":
-        if len(v) != n:
-            raise RootSystemError(f"epsilon vector must have length {n}")
-        out, run = [], Fraction(0)
-        for i in range(n):
-            run += v[i]
-            out.append(run)
-    elif fam == "C":
-        if len(v) != n:
-            raise RootSystemError(f"epsilon vector must have length {n}")
-        out, run = [], Fraction(0)
-        for i in range(n - 1):
-            run += v[i]
-            out.append(run)
-        out.append((v[n - 1] + (out[n - 2] if n >= 2 else 0)) / 2)
-    elif fam == "D":
-        if len(v) != n:
-            raise RootSystemError(f"epsilon vector must have length {n}")
-        out, run = [], Fraction(0)
-        for i in range(n - 2):
-            run += v[i]
-            out.append(run)
-        base = out[n - 3] if n >= 3 else Fraction(0)
-        s = v[n - 2] + base
-        t = v[n - 1]
-        out.append((s - t) / 2)
-        out.append((s + t) / 2)
-    else:
+    """Simple-root coordinates of an epsilon vector of plain ints.
+
+    Inverts :func:`eps_from_root_coords`: the coordinates are the prefix
+    sums ``run`` of ``eps``, except that C halves the last one and D
+    replaces the last two by half of ``run[-2] -+ eps[-1]``.  An odd half
+    comes back as a ``Fraction``; every other entry is an ``int``.  Raises
+    :class:`RootSystemError` for entries that are not plain ints (bool,
+    float and str included), a wrong length, or a type A sum other than 0.
+    """
+    fam, n = rst.family, rst.rank
+    if fam not in "ABCD":
         raise RootSystemError(f"{rst} has no epsilon realization here")
-    return tuple(int(x) if x.denominator == 1 else x for x in out)
+    if any(type(x) is not int for x in eps):
+        raise RootSystemError(f"epsilon vector {tuple(eps)} must hold plain integers")
+    run = tuple(accumulate(eps))
+    if fam == "A":
+        if len(run) != n + 1 or run[-1] != 0:
+            raise RootSystemError(f"type A epsilon vector must have length {n + 1} and sum 0")
+        return run[:-1]
+    if len(run) != n:
+        raise RootSystemError(f"epsilon vector must have length {n}")
+    if fam == "B":
+        return run
+
+    def half(x):
+        return Fraction(x, 2) if x % 2 else x // 2
+
+    if fam == "C":
+        return (*run[:-1], half(run[-1]))
+    return (*run[:-2], half(run[-2] - eps[-1]), half(run[-2] + eps[-1]))
 
 
 @lru_cache(maxsize=None)

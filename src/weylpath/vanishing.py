@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from operator import mul, sub
 from typing import Optional
 
 from .rootsystem import (
@@ -418,11 +418,13 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     Clauses: (a) the weighted root sum equals the target; (b) the roots
     are pairwise orthogonal, so their reflections commute; (c) the
     source weight pairs to exactly n_j against every entry at once
-    (order-free ladder); sequential ladder, the order-sensitive variant
-    that is what realizability actually needs; (d) the total cost equals
-    the path oracle and the distinguished coefficient where defined.
-    Membership preconditions (positive roots outside the Levi at d) are
-    reported separately.
+    (order-free ladder), and the ladder ends at the sink -omega_d, which
+    holds exactly when (a) does, since the source is target - omega_d;
+    sequential ladder, the order-sensitive variant that is what
+    realizability actually needs; (d) the total cost equals the path
+    oracle and the distinguished coefficient where defined.  Membership
+    preconditions (positive roots outside the Levi at d) are reported
+    separately.
     """
     if cert.rst != rs.rst:
         raise RootSystemError(f"certificate is for {cert.rst}, root system is {rs.rst}")
@@ -453,43 +455,41 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
         failures.append(f"(a) sum {tuple(total)} != target {tw.root_coords}")
 
     orthogonal = True
+    ladder_uniform = ladder_sequential = roots_ok
     if roots_ok:
-        for i in range(len(cert.entries)):
-            for j in range(i + 1, len(cert.entries)):
-                bi, bj = cert.entries[i][0], cert.entries[j][0]
-                if bi == bj:
-                    continue
-                if rs.pairing(rs.from_root_basis(bi), bj) != 0:
+        # Every entry is a positive root, so its coroot and fundamental
+        # coordinates come from the root system's integer table.
+        chi0 = source_weight(rs, parab, d)
+        sink = tuple(-x for x in rs.fundamental_weight(d))
+        ks = [rs._root_index[tuple(c)] for c, _ in cert.entries]
+        for i, (bi, _) in enumerate(cert.entries):
+            fi = rs._fund_coords[ks[i]]
+            for (bj, _), kj in zip(cert.entries[i + 1:], ks[i + 1:]):
+                if bi != bj and sum(map(mul, fi, rs._coroots[kj])) != 0:
                     orthogonal = False
                     failures.append(f"(b) {bi} and {bj} are not orthogonal")
 
-    chi0 = source_weight(rs, parab, d)
-    ladder_uniform = roots_ok
-    if roots_ok:
-        for c, n in cert.entries:
-            if rs.pairing(chi0, c) != n:
+        for (c, n), k in zip(cert.entries, ks):
+            r = sum(map(mul, chi0, rs._coroots[k]))
+            if r != n:
                 ladder_uniform = False
-                failures.append(f"(c) <chi0, {c}^vee> = {rs.pairing(chi0, c)} != {n}")
-    sink = tuple(-x for x in rs.fundamental_weight(d))
-    end_ok = sum_matches and tuple(
-        a - b for a, b in zip(chi0, rs.from_root_basis(tuple(total)))
-    ) == sink
-    ladder_uniform = ladder_uniform and end_ok
+                failures.append(f"(c) <chi0, {c}^vee> = {r} != {n}")
 
-    ladder_sequential = roots_ok
-    if roots_ok:
         chi = chi0
-        for c, n in cert.entries:
-            if rs.pairing(chi, c) != n:
+        for (c, n), k in zip(cert.entries, ks):
+            r = sum(map(mul, chi, rs._coroots[k]))
+            if r != n:
                 ladder_sequential = False
-                failures.append(f"sequential ladder stalls at {c}: pairing {rs.pairing(chi, c)} != {n}")
+                failures.append(f"sequential ladder stalls at {c}: pairing {r} != {n}")
                 break
-            fund = rs.from_root_basis(c)
-            chi = tuple(a - n * b for a, b in zip(chi, fund))
+            chi = tuple(a - n * b for a, b in zip(chi, rs._fund_coords[k]))
         else:
             if chi != sink:
                 ladder_sequential = False
                 failures.append(f"sequential ladder ends at {chi}, not {sink}")
+    # The source is target - omega_d, so the order-free ladder ends at the
+    # sink exactly when the entries sum to the target: clause (a).
+    ladder_uniform = ladder_uniform and sum_matches
 
     m = dijkstra_order(rs, parab, d)
     ca = coefficient_lower_bound(rs, parab, d)

@@ -148,13 +148,12 @@ def orbit_size(rs: RootSystem, weight: Sequence) -> int:
 
 
 def minuscule_indices(rs: RootSystem) -> list:
-    """Fundamental indices d with <omega_d, beta^vee> <= 1 over all beta > 0."""
-    out = []
-    for d in range(1, rs.rank + 1):
-        om = rs.fundamental_weight(d)
-        if all(rs.pairing(om, c) <= 1 for c in rs.positive_roots):
-            out.append(d)
-    return out
+    """Fundamental indices d with <omega_d, beta^vee> <= 1 over all beta > 0.
+
+    <omega_d, beta^vee> is entry d of beta^vee in simple coroots, which
+    the root system stores as an integer vector for every beta > 0.
+    """
+    return [d for d in range(1, rs.rank + 1) if max(cv[d - 1] for cv in rs._coroots) <= 1]
 
 
 def is_minuscule(rs: RootSystem, d: int) -> bool:

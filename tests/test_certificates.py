@@ -35,6 +35,13 @@ def test_epsilon_to_root_rejects_non_roots():
         epsilon_to_root(build("A3"), (1, 1, -1, -1))
     with pytest.raises(RootSystemError):
         epsilon_to_root(build("D5"), (1, 1, 1, 0, 0))
+    # only plain ints: these all used to read as e1 - e2
+    for eps in [(1.0, -1.0, 0, 0), (True, -1, 0, 0), ("1", "-1", 0, 0)]:
+        with pytest.raises(RootSystemError):
+            epsilon_to_root(build("A3"), eps)
+    for label in ("A3", "B3", "C3", "D4"):
+        with pytest.raises(RootSystemError):
+            epsilon_to_root(build(label), ())
 
 
 CONFIGS = (

@@ -190,6 +190,15 @@ def test_eps_transforms_round_trip():
             c = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
             eps = eps_from_root_coords(rs.rst, c)
             assert root_coords_from_eps(rs.rst, eps) == c
+    # off the root lattice a C/D half is odd and comes back as a Fraction
+    half = Fraction(1, 2)
+    for label, eps, want in [("C3", (1, 0, 0), (1, 1, half)),
+                             ("D4", (1, 0, 0, 0), (1, 1, half, half))]:
+        got = root_coords_from_eps(RootSystemType.parse(label), eps)
+        assert got == want and [type(x) for x in got] == [type(x) for x in want]
+    for eps in [(1, 0, 0, 0), (1, -1, 0), (1, -1, 0, 0, 0)]:
+        with pytest.raises(RootSystemError):
+            root_coords_from_eps(RootSystemType.parse("A3"), eps)
 
 
 def test_eps_round_trip_on_random_lattice_vectors():

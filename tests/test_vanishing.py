@@ -9,7 +9,7 @@ from weylpath import (
     lattice_lower_bound, longest_element, shortest_path, source_weight,
     target_weight, vanishing_result, verify, weyl_involution,
 )
-from weylpath.certificates import catalog_certificate, epsilon_to_root
+from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
 from weylpath.vanishing import _search_data
 
 
@@ -325,6 +325,118 @@ def test_oversized_certificate_fails_cost_clause():
     assert rep.ladder_sequential
     assert not rep.cost_matches
     assert not rep.valid
+
+
+def _reference_check(rs, cert):
+    """check_certificate's clauses through the generic rational pairing."""
+    parab, d = cert.parabolic, cert.d
+    failures = []
+    roots_ok = outside = True
+    for c, n in cert.entries:
+        if n < 1:
+            roots_ok = False
+            failures.append(f"multiplicity {n} < 1 for {c}")
+        if not rs.is_positive_root(c):
+            roots_ok = False
+            failures.append(f"{c} is not a positive root")
+        elif c[d - 1] < 1:
+            outside = False
+            failures.append(f"{c} lies in the Levi at index {d}")
+    tw = target_weight(rs, parab, d)
+    total = tuple(sum(n * c[j] for c, n in cert.entries) for j in range(rs.rank))
+    sum_matches = total == tw.root_coords
+    if not sum_matches:
+        failures.append(f"(a) sum {total} != target {tw.root_coords}")
+    orthogonal = True
+    if roots_ok:
+        for i, (bi, _) in enumerate(cert.entries):
+            for bj, _ in cert.entries[i + 1:]:
+                if bi != bj and rs.pairing(rs.from_root_basis(bi), bj) != 0:
+                    orthogonal = False
+                    failures.append(f"(b) {bi} and {bj} are not orthogonal")
+    chi0 = source_weight(rs, parab, d)
+    ladder_uniform = roots_ok
+    if roots_ok:
+        for c, n in cert.entries:
+            if rs.pairing(chi0, c) != n:
+                ladder_uniform = False
+                failures.append(f"(c) <chi0, {c}^vee> = {rs.pairing(chi0, c)} != {n}")
+    sink = tuple(-x for x in rs.fundamental_weight(d))
+    end = tuple(a - b for a, b in zip(chi0, rs.from_root_basis(total)))
+    ladder_uniform = ladder_uniform and sum_matches and end == sink
+    ladder_sequential = roots_ok
+    if roots_ok:
+        chi = chi0
+        for c, n in cert.entries:
+            if rs.pairing(chi, c) != n:
+                ladder_sequential = False
+                failures.append(f"sequential ladder stalls at {c}: pairing {rs.pairing(chi, c)} != {n}")
+                break
+            chi = tuple(a - n * b for a, b in zip(chi, rs.from_root_basis(c)))
+        else:
+            if chi != sink:
+                ladder_sequential = False
+                failures.append(f"sequential ladder ends at {chi}, not {sink}")
+    m = dijkstra_order(rs, parab, d)
+    ca = coefficient_lower_bound(rs, parab, d)
+    cost = cert.cost
+    cost_matches = cost == m and (ca is None or cost == ca)
+    if not cost_matches:
+        failures.append(f"(d) cost {cost} != dijkstra {m}" + ("" if ca is None else f", c_alpha {ca}"))
+    return (roots_ok, outside, sum_matches, orthogonal, ladder_uniform, ladder_sequential,
+            cost, m, ca, cost_matches, tuple(failures))
+
+
+def _mutate(rng, rs, d, entries):
+    """One random defect, or a harmless reordering, of a certificate's entries."""
+    entries = list(entries)
+    k = rng.randrange(len(entries))
+    kind = rng.randrange(7)
+    if kind == 0:
+        rng.shuffle(entries)
+    elif kind == 1:
+        levi = [c for c in rs.positive_roots if c[d - 1] == 0]
+        entries[k] = (rng.choice(levi), entries[k][1]) if levi else entries[k]
+    elif kind == 2:
+        c = entries[k][0]
+        entries[k] = (rng.choice([tuple(-x for x in c), tuple(x + 1 for x in c)]), entries[k][1])
+    elif kind == 3:
+        entries[k] = (entries[k][0], rng.randint(0, 3))
+    elif kind == 4:
+        entries.insert(rng.randint(0, len(entries)), (rng.choice(rs.positive_roots), rng.randint(1, 3)))
+    elif kind == 5 and len(entries) > 1:
+        del entries[k]
+    return tuple(entries)
+
+
+# The non-simply-laced systems matter: in types A, D and E a root's coroot
+# and fundamental coordinates coincide with data a swapped table would give.
+DIFFERENTIAL_LABELS = (
+    [f"A{n}" for n in range(2, 7)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL_LABELS)
+def test_check_certificate_matches_rational_reference(label):
+    rng = random.Random(label)
+    rs = build(label)
+    n = rs.rank
+    configs = [(p, d) for p in range(1, n + 1) for d in range(1, n + 1)]
+    # the last node carries a tabulated certificate in A, C, D, E6 and E7
+    picks = rng.sample(configs, min(4, len(configs))) + [(n, rng.randint(1, n))]
+    for p, d in picks:
+        parab = P(n, p)
+        bases = [path_certificate(rs, parab, d), catalog_certificate(rs, parab, d)]
+        for base in filter(None, bases):
+            for entries in [base.entries] + [_mutate(rng, rs, d, base.entries) for _ in range(12)]:
+                cert = Certificate(rst=rs.rst, omitted=p, d=d, entries=entries)
+                got = check_certificate(rs, cert)
+                assert (got.roots_ok, got.outside_levi, got.sum_matches, got.orthogonal,
+                        got.ladder_uniform, got.ladder_sequential, got.cost, got.dijkstra,
+                        got.c_alpha, got.cost_matches, got.failures) \
+                    == _reference_check(rs, cert), (label, p, d, entries)
 
 
 def test_vanishing_result_assembly():

@@ -5,8 +5,9 @@ import json
 import sys
 from pathlib import Path
 
+import weylpath.rootsystem
 from weylpath import (
-    Parabolic, build, clear_caches, dim_quotient, list_minuscule,
+    Parabolic, RootSystem, build, clear_caches, dim_quotient, list_minuscule,
     report_from_json, report_to_dict, report_to_json, report_to_markdown,
     suite_to_dict, suite_to_json, suite_to_markdown,
     tabulated_configurations, verify, verify_suite,
@@ -148,6 +149,26 @@ def test_clear_caches_empties_every_cache():
     assert [c for c in caches if c.cache_info().currsize]
     clear_caches()
     assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
+
+
+def test_cold_suite_runs_on_the_integer_root_table(monkeypatch):
+    # The certificate checks, the minuscule test and the epsilon
+    # conversion read RootSystem's stored coroots; none may fall back on
+    # rational arithmetic or the generic pairing.
+    clear_caches()
+    want = suite_to_json(verify_suite(8))
+    clear_caches()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational or generic pairing on the cold verify path")
+
+    monkeypatch.setattr(weylpath.rootsystem, "Fraction", refuse)
+    monkeypatch.setattr(RootSystem, "pairing", refuse)
+    monkeypatch.setattr(RootSystem, "from_root_basis", refuse)
+    try:
+        assert suite_to_json(verify_suite(8)) == want
+    finally:
+        clear_caches()
 
 
 def test_traced_layers_resolve():

@@ -152,6 +152,14 @@ def test_minuscule_classification():
     assert minuscule_indices(build("E7")) == [7]
     for label in ("E8", "F4", "G2"):
         assert minuscule_indices(build(label)) == []
+    labels = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+              + [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(3, 13)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    for label in labels:
+        rs = build(label)
+        want = [d for d in range(1, rs.rank + 1)
+                if all(rs.pairing(rs.fundamental_weight(d), c) <= 1 for c in rs.positive_roots)]
+        assert minuscule_indices(rs) == want, label
 
 
 def test_minuscule_orbit_pairings_are_small():
