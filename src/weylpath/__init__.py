@@ -7,7 +7,7 @@ through extremal weights, and verifies the identity
 
     sum_d m_d == dim G/P
 
-for every tabulated minuscule-type configuration.  See README.md for a
+for every cominuscule parabolic.  See README.md for a
 tour and the demos/ directory for worked scripts.
 """
 
@@ -26,6 +26,7 @@ from .weylgroup import (
     WeylWord,
     apply_word,
     apply_word_to_root,
+    cominuscule_indices,
     involution_index,
     is_minuscule,
     longest_element,

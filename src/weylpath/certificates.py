@@ -10,9 +10,10 @@ The E6 and E7 tuples are embedded literally, transcribed from the
 classical two-row displays shaped like the Dynkin diagram (top row =
 nodes 1, 3, 4, 5, 6 and 7 when present, bottom entry = node 2).  The
 classical families are generated from their epsilon-coordinate
-formulas.  Odd orthogonal (B) spin configurations carry no tabulated
-tuples at all; for those, :func:`path_certificate` extracts one from
-the canonical cheapest path.
+formulas.  The catalog covers every cominuscule parabolic except the
+odd quadric B_n/P1; everywhere else, the odd orthogonal spin
+configurations included, :func:`path_certificate` extracts a tuple
+from the canonical cheapest path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, root_coords_from_eps,
 )
 from .vanishing import Certificate, shortest_path
+from .weylgroup import cominuscule_indices
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +139,7 @@ def _catalog_A(rs, c, d):
     n = rs.rank + 1
     if c > n - c:
         perm = _flip_permutation(rs.rst)
-        inner = _catalog_A(rs, n - c, n - d)
-        return _flip_entries(inner, perm, rs.rank) if inner is not None else None
+        return _flip_entries(_catalog_A(rs, n - c, n - d), perm, rs.rank)
     if d < c:
         pairs = [((i, 1), (c + d + 1 - i, -1)) for i in range(1, d + 1)]
     elif d <= n - c:
@@ -148,9 +149,7 @@ def _catalog_A(rs, c, d):
     return tuple((_eps_root(rs, n, p), 1) for p in pairs)
 
 
-def _catalog_C(rs, p, d):
-    if p != rs.rank:
-        return None
+def _catalog_C(rs, d):
     n = rs.rank
     if d < n + 1 - d:
         entries = [((i, 1), (n + 1 - i, 1)) for i in range(1, d + 1)]
@@ -164,8 +163,7 @@ def _catalog_D_spin(rs, p, d):
     n = rs.rank
     if p == n - 1:
         perm = _flip_permutation(rs.rst)
-        inner = _catalog_D_spin_at_n(rs, perm[d])
-        return _flip_entries(inner, perm, n) if inner is not None else None
+        return _flip_entries(_catalog_D_spin_at_n(rs, perm[d]), perm, n)
     return _catalog_D_spin_at_n(rs, d)
 
 
@@ -197,49 +195,50 @@ def _catalog_D_spin_at_n(rs, d):
 
 def _catalog_D(rs, p, d):
     n = rs.rank
-    if p == 1:
-        if d <= n - 2:
-            j = d + 1
-            return (
-                (_eps_root(rs, n, ((1, 1), (j, -1))), 1),
-                (_eps_root(rs, n, ((1, 1), (j, 1))), 1),
-            )
-        if d == n - 1:
-            return ((_eps_root(rs, n, ((1, 1), (n, -1))), 1),)
-        return ((_eps_root(rs, n, ((1, 1), (n, 1))), 1),)
-    if p in (n - 1, n):
+    if p != 1:
         return _catalog_D_spin(rs, p, d)
-    return None
+    if d <= n - 2:
+        j = d + 1
+        return (
+            (_eps_root(rs, n, ((1, 1), (j, -1))), 1),
+            (_eps_root(rs, n, ((1, 1), (j, 1))), 1),
+        )
+    if d == n - 1:
+        return ((_eps_root(rs, n, ((1, 1), (n, -1))), 1),)
+    return ((_eps_root(rs, n, ((1, 1), (n, 1))), 1),)
+
+
+def _catalog_covers(rs: RootSystem, p: int) -> bool:
+    """Whether the catalog tabulates P_p: every cominuscule parabolic
+    except the odd quadric B_n/P1, which has no tabulated tuples."""
+    return rs.rst.family != "B" and p in cominuscule_indices(rs)
 
 
 def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Optional[Certificate]:
     """The tabulated certificate for this configuration, or None.
 
-    Coverage: every maximal parabolic of type A; C_n at the last node;
-    D_n at nodes 1, n-1, n; E6 at nodes 1 and 6; E7 at node 7.  Other
-    configurations (including every odd orthogonal spin case) have no
-    tabulated tuple and return None.
+    Coverage: every cominuscule parabolic except the odd quadric B_n/P1.
+    Other configurations (including every odd orthogonal spin case) have
+    no tabulated tuple and return None.
     """
     rs._check_index(d)
     p = parabolic.omitted_index
+    if not _catalog_covers(rs, p):
+        return None
     fam = rs.rst.family
-    entries = None
     if fam == "A":
         entries = _catalog_A(rs, p, d)
     elif fam == "C":
-        entries = _catalog_C(rs, p, d)
+        entries = _catalog_C(rs, d)
     elif fam == "D":
         entries = _catalog_D(rs, p, d)
-    elif rs.rst.label == "E6" and p in (1, 6):
-        if p == 1:
-            entries = _exceptional_entries(_E6_P1, d)
-        else:
-            perm = _flip_permutation(rs.rst)
-            entries = _flip_entries(_exceptional_entries(_E6_P1, perm[d]), perm, 6)
-    elif rs.rst.label == "E7" and p == 7:
+    elif rs.rst.label == "E7":
         entries = _exceptional_entries(_E7_P7, d)
-    if entries is None:
-        return None
+    elif p == 1:
+        entries = _exceptional_entries(_E6_P1, d)
+    else:
+        perm = _flip_permutation(rs.rst)
+        entries = _flip_entries(_exceptional_entries(_E6_P1, perm[d]), perm, 6)
     return Certificate(rst=rs.rst, omitted=p, d=d, entries=entries, origin="catalog")
 
 

@@ -319,6 +319,7 @@ class RootSystem:
         is an ``int`` whenever it is integral (always, for integral
         weights), otherwise a ``Fraction``.
         """
+        self._check_length(weight, "weight")
         c = tuple(root)
         neg = False
         if c not in self._pos_set:
@@ -347,6 +348,7 @@ class RootSystem:
 
     def from_root_basis(self, coords: Sequence) -> Weight:
         """Fundamental coordinates of ``sum coords_j alpha_j``."""
+        self._check_length(coords, "root coordinate vector")
         A = self.cartan
         out = []
         for i in range(self.rank):
@@ -381,6 +383,14 @@ class RootSystem:
     def _check_index(self, i: int):
         if not 1 <= i <= self.rank:
             raise RootSystemError(f"simple index {i} out of range 1..{self.rank}")
+
+    def _check_parabolic(self, parabolic: Parabolic):
+        if parabolic.rank != self.rank:
+            raise RootSystemError(f"parabolic of rank {parabolic.rank} given for {self.rst}")
+
+    def _check_length(self, vector: Sequence, what: str):
+        if len(vector) != self.rank:
+            raise RootSystemError(f"{what} {tuple(vector)} has length {len(vector)}, rank is {self.rank}")
 
     def __repr__(self) -> str:
         return f"RootSystem({self.rst.label})"

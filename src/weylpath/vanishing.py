@@ -12,15 +12,15 @@ routes that must agree:
 * :func:`lattice_lower_bound` - brute-force minimum of sum(n_j) over
   plain decompositions of omega_d + tau(-w0(omega_d)) into those same
   roots, with no path/realizability constraint.
-* :func:`coefficient_lower_bound` - the coefficient of a distinguished
-  simple root that occurs with coefficient at most one in every
-  positive root, where such an index exists.
+* :func:`coefficient_lower_bound` - the coefficient of a cominuscule
+  simple root (coefficient one in the highest root, so at most one in
+  every positive root) matched to the parabolic, where one is.
 * certificate checking - explicit root tuples claiming to realize m_d
   are validated clause by clause in :func:`check_certificate`.
 
 The chain ``coefficient <= lattice <= dijkstra <= certificate cost``
-holds whenever the pieces are defined, and collapses to equality in all
-the tabulated minuscule configurations.
+holds whenever the pieces are defined, and collapses to equality at
+every cominuscule parabolic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .rootsystem import (
     Parabolic, Root, RootSystem, RootSystemError, RootSystemType, Weight, build,
     eps_from_root_coords,
 )
-from .weylgroup import longest_element
+from .weylgroup import cominuscule_indices
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -116,41 +116,34 @@ class VanishingResult:
 # target weight
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _longest_words(rst: RootSystemType, parab: Parabolic) -> tuple:
-    """(w0, tau): reduced words of the longest elements of W and of the Levi."""
-    rs = build(rst)
-    return longest_element(rs), longest_element(rs, parab.retained)
-
-
-def _apply_word_lowering(rs: RootSystem, word, weight) -> tuple:
-    """``apply_word`` together with the root coordinates of weight - image.
-
-    s_i(mu) = mu - mu_i alpha_i, so the drop is summed per letter in
-    integers while the word acts, last letter first.
-    """
+def _lower(rs: RootSystem, mu, indices) -> tuple:
+    """Apply s_i while some mu_i > 0, i in ``indices``: the orbit's lowest
+    point, and the drop mu - image in root coordinates (both unique)."""
     cols = tuple(zip(*rs.cartan))  # cols[i]: fundamental coordinates of alpha_{i+1}
-    mu = tuple(weight)
     drop = [0] * rs.rank
-    for i in reversed(word):
-        k = mu[i - 1]
-        if k:
-            drop[i - 1] += k
-            mu = tuple(a - k * b for a, b in zip(mu, cols[i - 1]))
-    return mu, drop
+    while True:
+        for i in indices:
+            k = mu[i - 1]
+            if k > 0:
+                drop[i - 1] += k
+                mu = tuple(a - k * b for a, b in zip(mu, cols[i - 1]))
+                break
+        else:
+            return mu, drop
 
 
 @lru_cache(maxsize=None)
 def _target_cached(rst: RootSystemType, parab: Parabolic, d: int) -> TargetWeight:
-    # The two words lower w0(omega_d) = omega_d - b and tau(lam) = lam - c,
-    # lam = -w0(omega_d), with b and c summed in root coordinates; so the
-    # target omega_d + tau(lam) is exactly b - c, integral by construction.
-    # It is a sum of positive roots, which the check below confirms.
+    # Lowering omega_d over all of W gives w0(omega_d) = omega_d - b; lowering
+    # lam = -w0(omega_d) over the Levi gives tau(lam) = lam - c.  So the
+    # target omega_d + tau(lam) is exactly b - c in root coordinates,
+    # integral by construction.  It is a sum of positive roots, which the
+    # check below confirms.
     rs = build(rst)
-    w0, tau = _longest_words(rst, parab)
+    rs._check_parabolic(parab)
     omega = rs.fundamental_weight(d)
-    img, b = _apply_word_lowering(rs, w0, omega)
-    chi0, c = _apply_word_lowering(rs, tau, tuple(-x for x in img))
+    img, b = _lower(rs, omega, range(1, rs.rank + 1))
+    chi0, c = _lower(rs, tuple(-x for x in img), sorted(parab.retained))
     value = tuple(a + x for a, x in zip(omega, chi0))
     coords = tuple(map(sub, b, c))
     if min(coords) < 0:
@@ -362,50 +355,35 @@ def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
 # ---------------------------------------------------------------------------
 
 def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> Optional[int]:
-    """Simple index with coefficient <= 1 in every positive root, matched
-    to the parabolic so its target coefficient attains m_d; None if the
-    configuration has no such distinguished index."""
+    """Cominuscule simple index whose target coefficient attains m_d, or None.
+
+    That is p itself when the omitted index p is cominuscule, and in type
+    C the cominuscule node n at every p.  A cominuscule index has
+    coefficient <= 1 in every positive root.  The answer does not depend
+    on d.
+    """
     if len(parabolic.omitted) != 1:
         return None
     p = parabolic.omitted_index
-    fam = rs.rst.family
-    n = rs.rank
-    if fam == "A":
-        return d
-    if fam == "C":
-        return n
-    if fam == "D":
-        if p == 1:
-            return 1
-        if p in (n - 1, n):
-            return p
-        return None
-    if rs.rst.label == "E6" and p in (1, 6):
+    if p in cominuscule_indices(rs):
         return p
-    if rs.rst.label == "E7" and p == 7:
-        return 7
+    if rs.rst.family == "C":
+        return rs.rank
     return None
 
 
 def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> Optional[int]:
     """Coefficient of the distinguished simple root in the target weight.
 
-    Returns ``None`` where no distinguished index is declared (for
-    instance the odd orthogonal spin configurations, where every bound
-    of this shape is too weak).  Raises if the declared index ever
-    violates the coefficient <= 1 property, which would be a table bug.
+    Defined on the catalog's coverage, every cominuscule parabolic except
+    the odd quadric B_n/P1, and also on B_n/P1 and on every parabolic of
+    type C; ``None`` elsewhere (for instance the odd orthogonal spin
+    configurations, where every bound of this shape is too weak).
     """
     rs._check_index(d)
-    alpha = distinguished_index(rs, parabolic, d)
-    if alpha is None:
-        return None
-    worst = max(c[alpha - 1] for c in rs.positive_roots)
-    if worst > 1:
-        raise InternalInconsistencyError(
-            f"{rs.rst}: distinguished index {alpha} has coefficient {worst} > 1"
-        )
     tw = target_weight(rs, parabolic, d)
-    return tw.root_coords[alpha - 1]
+    alpha = distinguished_index(rs, parabolic, d)
+    return None if alpha is None else tw.root_coords[alpha - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +426,9 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     tw = target_weight(rs, parab, d)
     total = [0] * rs.rank
     for c, n in cert.entries:
-        for j in range(rs.rank):
-            total[j] += n * c[j]
-    sum_matches = tuple(total) == tw.root_coords
+        total = [t + n * x for t, x in zip(total, c)]
+    sum_matches = (tuple(total) == tw.root_coords
+                   and all(len(c) == rs.rank for c, _ in cert.entries))
     if not sum_matches:
         failures.append(f"(a) sum {tuple(total)} != target {tw.root_coords}")
 

@@ -6,17 +6,17 @@ identity
 
     sum_d m_d  ==  dim G/P  ==  |R+| - |R+_P|.
 
-:func:`verify_suite` sweeps every configuration covered by the
-tabulated case analysis (type A everywhere, C at the last node, D at
-nodes 1, n-1, n, E6 at 1 and 6, E7 at 7), where the identity provably
-holds, and adds three factual side checks: the C_n node-1 profiles fall
-short of the dimension; the even/odd split of the two spin orders in
-type D; and the entrywise match between odd and even orthogonal spin
-profiles (B_n at node n against D_{n+1} at node n+1, dropping the
-latter's next-to-last entry).
+:func:`verify_suite` sweeps every cominuscule parabolic (alpha_p has
+coefficient 1 in the highest root) except the odd quadric B_n/P1, where
+the identity holds, and adds three factual side checks: the C_n node-1
+profiles fall short of the dimension; the even/odd split of the two
+spin orders in type D; and the entrywise match between odd and even
+orthogonal spin profiles (B_n at node n against D_{n+1} at node n+1,
+dropping the latter's next-to-last entry).
 
 Note the two minuscule families deliberately absent from the identity
-sweep: C_n at node 1 and B_n at node n.  For both, the canonical
+sweep, exactly the minuscule parabolics that are not cominuscule:
+C_n at node 1 and B_n at node n.  For both, the canonical
 section does not vanish maximally along P/B, so sum_d m_d < dim G/P;
 the projective-space and even-orthogonal models of those spaces are
 what carry the identity.
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .certificates import best_certificate
-from .rootsystem import Parabolic, RootSystem, RootSystemError, RootSystemType, build
+from .certificates import _catalog_covers, best_certificate
+from .rootsystem import _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, RootSystemType, build
 from .vanishing import (
     VanishingResult, check_certificate, shortest_path, vanishing_result,
 )
@@ -57,6 +57,7 @@ class VerificationReport:
 
 def dim_quotient(rs: RootSystem, parabolic: Parabolic) -> int:
     """dim G/P = |R+| - |R+_P|, the positive roots with support off the Levi."""
+    rs._check_parabolic(parabolic)
     omitted = sorted(parabolic.omitted)
     levi = sum(
         1 for c in rs.positive_roots if all(c[j - 1] == 0 for j in omitted)
@@ -219,21 +220,15 @@ def report_to_markdown(rep: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 def tabulated_configurations(max_rank: int = 12):
-    """Configurations the case analysis proves the identity for."""
-    for r in range(1, max_rank + 1):
-        for c in range(1, r + 1):
-            yield ("A", r, c)
-    for n in range(2, max_rank + 1):
-        yield ("C", n, n)
-    for n in range(3, max_rank + 1):
-        yield ("D", n, 1)
-        yield ("D", n, n - 1)
-        yield ("D", n, n)
-    if max_rank >= 6:
-        yield ("E", 6, 1)
-        yield ("E", 6, 6)
-    if max_rank >= 7:
-        yield ("E", 7, 7)
+    """Every (family, rank, p) of rank <= max_rank that the catalog covers.
+
+    That is every cominuscule parabolic except the odd quadric B_n/P1,
+    by family, then rank, then p.
+    """
+    for fam, (lo, hi) in _RANK_BOUNDS.items():
+        for rank in range(lo, min(max_rank, hi or max_rank) + 1):
+            rs = build(fam, rank)
+            yield from ((fam, rank, p) for p in range(1, rank + 1) if _catalog_covers(rs, p))
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,8 @@ class SuiteReport:
 
 
 def verify_suite(max_rank: int = 12) -> SuiteReport:
-    """Sweep every tabulated configuration plus the factual side checks."""
+    """Sweep every cominuscule parabolic except the odd quadric B_n/P1,
+    plus the factual side checks."""
     if max_rank < 2:
         raise RootSystemError("max_rank must be at least 2")
     reports = []

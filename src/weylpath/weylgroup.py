@@ -156,5 +156,11 @@ def minuscule_indices(rs: RootSystem) -> list:
     return [d for d in range(1, rs.rank + 1) if max(cv[d - 1] for cv in rs._coroots) <= 1]
 
 
+def cominuscule_indices(rs: RootSystem) -> list:
+    """Indices j with alpha_j of coefficient 1 in the highest root, the
+    last positive root; such an alpha_j has coefficient <= 1 in every root."""
+    return [j for j, c in enumerate(rs.positive_roots[-1], start=1) if c == 1]
+
+
 def is_minuscule(rs: RootSystem, d: int) -> bool:
     return d in minuscule_indices(rs)

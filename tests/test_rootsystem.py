@@ -179,6 +179,20 @@ def test_pairing_rejects_non_roots():
         rs.pairing((1, 0, 0), (1, 0, 1))
 
 
+def test_pairing_and_root_basis_reject_wrong_lengths():
+    rs = build("A3")
+    for weight in ((1,), (1, 0), (1, 0, 0, 5, 7), ()):
+        with pytest.raises(RootSystemError):
+            rs.pairing(weight, (1, 1, 0))
+    with pytest.raises(RootSystemError):
+        rs.pairing((1, 0, 0, 5, 7), (1, 0, 0))
+    for coords in ((1, 0), (1, 0, 0, 0), ()):
+        with pytest.raises(RootSystemError):
+            rs.from_root_basis(coords)
+    assert rs.pairing((1, 0, 0), (1, 1, 0)) == 1
+    assert rs.from_root_basis((1, 0, 0)) == (2, -1, 0)
+
+
 def test_eps_transforms_round_trip():
     rng = random.Random(13)
     for label in ("A4", "B5", "C5", "D6", "D3"):

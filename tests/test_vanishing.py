@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from weylpath import (
-    Certificate, Parabolic, build,
+    Certificate, Parabolic, RootSystemError, build,
     apply_word, check_certificate, clear_caches, coefficient_lower_bound, dijkstra_order,
     lattice_lower_bound, longest_element, shortest_path, source_weight,
     target_weight, vanishing_result, verify, weyl_involution,
@@ -257,6 +257,58 @@ def test_coefficient_bound_not_applicable():
     assert coefficient_lower_bound(build("E7"), P(7, 1), 1) is None
 
 
+def _old_distinguished_index(rs, p, d):
+    # The hand table distinguished_index held before it was derived from
+    # the highest root.
+    fam, n = rs.rst.family, rs.rank
+    if fam == "A":
+        return d
+    if fam == "C":
+        return n
+    if fam == "D":
+        return p if p in (1, n - 1, n) else None
+    if (rs.rst.label, p) in (("E6", 1), ("E6", 6), ("E7", 7)):
+        return p
+    return None
+
+
+def test_coefficient_bound_matches_old_table():
+    labels = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+              + [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(3, 13)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    for label in labels:
+        rs = build(label)
+        for p in range(1, rs.rank + 1):
+            parab = P(rs.rank, p)
+            for d in range(1, rs.rank + 1):
+                alpha = _old_distinguished_index(rs, p, d)
+                ca = coefficient_lower_bound(rs, parab, d)
+                if alpha is not None:
+                    assert ca == target_weight(rs, parab, d).root_coords[alpha - 1], (label, p, d)
+                elif (rs.rst.family, p) == ("B", 1):
+                    assert ca == target_weight(rs, parab, d).root_coords[0]
+                else:
+                    assert ca is None, (label, p, d)
+
+
+def test_coefficient_bound_at_the_odd_quadric_equals_the_order():
+    # B_n/P1 is cominuscule but outside the old table; its bound is exact.
+    for n in range(2, 9):
+        rs = build("B", n)
+        for d in range(1, n + 1):
+            ca = coefficient_lower_bound(rs, P(n, 1), d)
+            assert ca == lattice_lower_bound(rs, P(n, 1), d) == dijkstra_order(rs, P(n, 1), d)
+
+
+def test_parabolic_of_wrong_rank_rejected():
+    rs = build("A3")
+    for parab in (P(2, 1), P(5, 5), P(4, 1)):
+        for oracle in (target_weight, source_weight, dijkstra_order, lattice_lower_bound,
+                       coefficient_lower_bound, shortest_path):
+            with pytest.raises(RootSystemError):
+                oracle(rs, parab, 1)
+
+
 # -- certificates -------------------------------------------------------------
 
 def test_e6_case_one_pair_passes_all_clauses():
@@ -311,6 +363,14 @@ def test_perturbed_certificate_fails_root_membership():
     rep = check_certificate(rs, Certificate(rst=rs.rst, omitted=1, d=1, entries=entries))
     assert not rep.roots_ok
     assert not rep.valid
+
+
+def test_certificate_with_short_or_long_roots_reports_failure():
+    rs = build("A3")
+    for coords in ((1, 0), (1, 0, 0, 0), ()):
+        rep = check_certificate(rs, Certificate(rs.rst, 1, 1, ((coords, 1),)))
+        assert not rep.roots_ok and not rep.sum_matches and not rep.valid
+        assert any("not a positive root" in f for f in rep.failures)
 
 
 def test_oversized_certificate_fails_cost_clause():

@@ -5,9 +5,12 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import weylpath.rootsystem
 from weylpath import (
-    Parabolic, RootSystem, build, clear_caches, dim_quotient, list_minuscule,
+    Parabolic, RootSystem, RootSystemError, build, clear_caches, cominuscule_indices,
+    dim_quotient, list_minuscule,
     report_from_json, report_to_dict, report_to_json, report_to_markdown,
     suite_to_dict, suite_to_json, suite_to_markdown,
     tabulated_configurations, verify, verify_suite,
@@ -88,6 +91,46 @@ def test_tabulated_configurations_cover_expected_families():
     assert ("C", 7, 7) in configs
     assert not any(f == "B" for f, _, _ in configs)
     assert not any(f == "C" and p == 1 for f, _, p in configs)
+
+
+def _old_tabulated_configurations(max_rank):
+    # The hand list tabulated_configurations held before it was derived
+    # from the highest root.
+    out = [("A", r, c) for r in range(1, max_rank + 1) for c in range(1, r + 1)]
+    out += [("C", n, n) for n in range(2, max_rank + 1)]
+    out += [("D", n, p) for n in range(3, max_rank + 1) for p in (1, n - 1, n)]
+    if max_rank >= 6:
+        out += [("E", 6, 1), ("E", 6, 6)]
+    if max_rank >= 7:
+        out += [("E", 7, 7)]
+    return out
+
+
+def test_tabulated_configurations_match_old_hand_list():
+    for max_rank in range(1, 21):
+        assert list(tabulated_configurations(max_rank)) == _old_tabulated_configurations(max_rank)
+
+
+def test_identity_holds_exactly_at_cominuscule_parabolics():
+    labels = ([f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+               for n in range(lo, 9)] + ["E6", "E7", "F4", "G2"])
+    seen = 0
+    for label in labels:
+        rs = build(label)
+        for p in range(1, rs.rank + 1):
+            rep = verify(label, omitted=p)
+            assert rep.identity == (p in cominuscule_indices(rs)), (label, p)
+            for row in rep.rows:
+                assert row.c_alpha is None or row.c_alpha <= row.m_lattice_lb, (label, p, row)
+                assert row.m_lattice_lb <= row.m_dijkstra, (label, p, row)
+            seen += 1
+    assert seen == 158
+
+
+def test_dim_quotient_rejects_parabolic_of_wrong_rank():
+    for parab in (Parabolic.maximal(5, 5), Parabolic.maximal(2, 1)):
+        with pytest.raises(RootSystemError):
+            dim_quotient(build("A3"), parab)
 
 
 def test_suite_small():

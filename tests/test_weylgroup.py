@@ -4,7 +4,7 @@ import pytest
 
 from weylpath import (
     Parabolic, build,
-    apply_word, apply_word_to_root, involution_index, longest_element,
+    apply_word, apply_word_to_root, cominuscule_indices, involution_index, longest_element,
     minuscule_indices, orbit, orbit_size, tau_on_omitted_root,
     weyl_involution, weyl_order, word_length, words_equal,
 )
@@ -160,6 +160,31 @@ def test_minuscule_classification():
         want = [d for d in range(1, rs.rank + 1)
                 if all(rs.pairing(rs.fundamental_weight(d), c) <= 1 for c in rs.positive_roots)]
         assert minuscule_indices(rs) == want, label
+
+
+def test_cominuscule_classification():
+    assert cominuscule_indices(build("A6")) == [1, 2, 3, 4, 5, 6]
+    assert cominuscule_indices(build("B5")) == [1]
+    assert cominuscule_indices(build("C5")) == [5]
+    assert cominuscule_indices(build("D7")) == [1, 6, 7]
+    assert cominuscule_indices(build("D3")) == [1, 2, 3]
+    assert cominuscule_indices(build("E6")) == [1, 6]
+    assert cominuscule_indices(build("E7")) == [7]
+    for label in ("E8", "F4", "G2"):
+        assert cominuscule_indices(build(label)) == []
+
+
+def test_cominuscule_index_has_coefficient_at_most_one_in_every_root():
+    # The coefficient bound relies on this; it used to be checked at run time.
+    labels = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+              + [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(3, 13)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    for label in labels:
+        rs = build(label)
+        highest = max(rs.positive_roots, key=sum)
+        assert cominuscule_indices(rs) == [j for j in range(1, rs.rank + 1) if highest[j - 1] == 1]
+        for j in cominuscule_indices(rs):
+            assert max(c[j - 1] for c in rs.positive_roots) == 1, (label, j)
 
 
 def test_minuscule_orbit_pairings_are_small():
