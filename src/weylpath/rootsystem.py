@@ -337,6 +337,7 @@ class RootSystem:
 
     def to_root_basis(self, weight: Sequence) -> tuple:
         """Simple-root coordinates of a weight, as exact Fractions."""
+        self._check_length(weight, "weight")
         inv = self._cartan_inv
         if inv is None:
             inv = self._cartan_inv = _invert_integer_matrix(self.cartan)
@@ -361,6 +362,7 @@ class RootSystem:
     def simple_reflection(self, i: int, weight: Sequence) -> Weight:
         """Apply s_i to a weight in fundamental coordinates."""
         self._check_index(i)
+        self._check_length(weight, "weight")
         wi = weight[i - 1]
         A = self.cartan
         return tuple(weight[j] - wi * A[j][i - 1] for j in range(self.rank))
@@ -368,6 +370,7 @@ class RootSystem:
     def reflect_root(self, i: int, root: Sequence) -> Root:
         """Apply s_i to a root in simple-root coordinates."""
         self._check_index(i)
+        self._check_length(root, "root coordinate vector")
         A = self.cartan
         pair = sum(A[i - 1][j] * root[j] for j in range(self.rank))
         out = list(root)

@@ -21,6 +21,15 @@ routes that must agree:
 The chain ``coefficient <= lattice <= dijkstra <= certificate cost``
 holds whenever the pieces are defined, and collapses to equality at
 every cominuscule parabolic.
+
+The path and lattice searches run on orbits of the Levi Weyl group W_L
+at d, generated by the s_i with i != d.  W_L permutes the usable roots,
+fixes omega_d and keeps every pairing <chi, beta^vee>, so both distances
+are W_L-invariant and each search settles only the Levi-dominant point
+of an orbit (see :func:`_search_data`).  The witness walk in
+:func:`shortest_path` still follows single weights; only its bounded
+probes run on orbits.  Relaxed searches step along Levi roots too, which
+W_L does not permute, so they are not quotiented.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .rootsystem import (
     Parabolic, Root, RootSystem, RootSystemError, RootSystemType, Weight, build,
@@ -113,38 +122,78 @@ class VanishingResult:
 
 
 # ---------------------------------------------------------------------------
+# dominant points of Weyl-group orbits
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _reflection_tables(rst: RootSystemType):
+    """The Cartan matrix by sparse columns, ``cols[i]`` holding the
+    ``(j, <alpha_{i+1}, alpha_{j+1}^vee>)`` that are nonzero, and per positive
+    root the bitmask of the indices i with ``<beta, alpha_{i+1}^vee> > 0``."""
+    rs = build(rst)
+    A = rs.cartan
+    cols = tuple(tuple((j, A[j][i]) for j in range(rs.rank) if A[j][i])
+                 for i in range(rs.rank))
+    ups = tuple(sum(1 << i for i, x in enumerate(f) if x > 0) for f in rs._fund_coords)
+    return cols, ups
+
+
+def _make_canon(cols, indices):
+    """The W_J-dominant point of the orbit of a state ``(chi, v)``.
+
+    J is the set of 0-based ``indices``; ``chi`` is a weight in fundamental
+    coordinates and ``v`` a vector in root coordinates that moves with it.
+    While some chi_i < 0 with i in J, s_i adds -chi_i to v_i and subtracts
+    chi_i times column i of the Cartan matrix from chi; only i's
+    neighbours can newly turn negative.  The dominant point is unique, so
+    v ends raised by the root coordinates of its difference from chi.
+    """
+    inside = [False] * len(cols)
+    for i in indices:
+        inside[i] = True
+
+    def canon(chi, v):
+        if min(chi) >= 0:
+            return chi, v
+        todo = [i for i in indices if chi[i] < 0]
+        if not todo:
+            return chi, v
+        chi, v = list(chi), list(v)
+        while todo:
+            i = todo.pop()
+            k = chi[i]
+            if k >= 0:
+                continue
+            v[i] -= k
+            for j, a in cols[i]:
+                chi[j] -= k * a
+                if chi[j] < 0 and inside[j]:
+                    todo.append(j)
+        return tuple(chi), tuple(v)
+
+    return canon
+
+
+# ---------------------------------------------------------------------------
 # target weight
 # ---------------------------------------------------------------------------
 
-def _lower(rs: RootSystem, mu, indices) -> tuple:
-    """Apply s_i while some mu_i > 0, i in ``indices``: the orbit's lowest
-    point, and the drop mu - image in root coordinates (both unique)."""
-    cols = tuple(zip(*rs.cartan))  # cols[i]: fundamental coordinates of alpha_{i+1}
-    drop = [0] * rs.rank
-    while True:
-        for i in indices:
-            k = mu[i - 1]
-            if k > 0:
-                drop[i - 1] += k
-                mu = tuple(a - k * b for a, b in zip(mu, cols[i - 1]))
-                break
-        else:
-            return mu, drop
-
-
 @lru_cache(maxsize=None)
 def _target_cached(rst: RootSystemType, parab: Parabolic, d: int) -> TargetWeight:
-    # Lowering omega_d over all of W gives w0(omega_d) = omega_d - b; lowering
-    # lam = -w0(omega_d) over the Levi gives tau(lam) = lam - c.  So the
-    # target omega_d + tau(lam) is exactly b - c in root coordinates,
-    # integral by construction.  It is a sum of positive roots, which the
-    # check below confirms.
+    # Raising -omega_d to its dominant point over all of W gives
+    # lam = -w0(omega_d) = -omega_d + b; raising -lam over the Levi gives
+    # -tau(lam) = -lam + c.  So the target omega_d + tau(lam) is exactly
+    # b - c in root coordinates, integral by construction.  It is a sum of
+    # positive roots, which the check below confirms.
     rs = build(rst)
     rs._check_parabolic(parab)
+    cols = _reflection_tables(rst)[0]
+    zero = (0,) * rs.rank
     omega = rs.fundamental_weight(d)
-    img, b = _lower(rs, omega, range(1, rs.rank + 1))
-    chi0, c = _lower(rs, tuple(-x for x in img), sorted(parab.retained))
-    value = tuple(a + x for a, x in zip(omega, chi0))
+    lam, b = _make_canon(cols, range(rs.rank))(tuple(-x for x in omega), zero)
+    levi = [i - 1 for i in sorted(parab.retained)]
+    neg_tau, c = _make_canon(cols, levi)(tuple(-x for x in lam), zero)
+    value = tuple(map(sub, omega, neg_tau))
     coords = tuple(map(sub, b, c))
     if min(coords) < 0:
         raise InternalInconsistencyError(
@@ -175,7 +224,7 @@ def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# shortest extremal-weight paths
+# shortest extremal-weight paths, one W_L-orbit at a time
 # ---------------------------------------------------------------------------
 
 def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
@@ -212,25 +261,101 @@ def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
     return None
 
 
+def _same(chi, v):
+    return chi, v
+
+
+def _make_moves(edges, levi, canon, ladder):
+    """Successors ``(cost, child, v2)`` of a Levi-dominant state.
+
+    ``edges`` holds ``(coroot, fund, root, ups)`` per usable root.  A ladder
+    step costs r = <chi, beta^vee> >= 1 and subtracts r*beta; otherwise a
+    step costs 1 and subtracts beta.  The stabilizer of chi is generated by
+    the s_i, i in ``levi``, with chi_i = 0, and of each of its orbits on the
+    usable roots only the member with no such i in ``ups`` is stepped
+    along.  Children are canonicalized and the cheapest step to each kept.
+    With ``levi`` empty and ``canon`` the identity these are the plain
+    steps between single states.
+    """
+    def successors(chi, v):
+        zero = 0
+        for i in levi:
+            if not chi[i]:
+                zero |= 1 << i
+        best = {}
+        for cv, fk, rc, up in edges:
+            if up & zero:
+                continue
+            if ladder:
+                r = sum(map(mul, chi, cv))
+                if r < 1:
+                    continue
+                v2 = tuple(a - r * b for a, b in zip(v, rc))
+                if min(v2) < 0:
+                    continue
+                child, v2 = canon(tuple(a - r * b for a, b in zip(chi, fk)), v2)
+            else:
+                r = 1
+                v2 = tuple(map(sub, v, rc))
+                if min(v2) < 0:
+                    continue
+                child, v2 = canon(tuple(map(sub, chi, fk)), v2)
+            if child not in best or r < best[child][0]:
+                best[child] = (r, v2)
+        return [(r, child, v2) for child, (r, v2) in best.items()]
+
+    return successors
+
+
+class _Search(NamedTuple):
+    rootcos: tuple      # usable roots at d, simple-root coordinates
+    walk: Callable      # the ladder on single weights
+    ladder: Callable    # the ladder on orbits
+    subtract: Callable  # unit root subtraction on orbits
+    estimate: Callable
+    canon: Callable
+
+
 @lru_cache(maxsize=None)
-def _search_data(rst: RootSystemType, d: int, relaxed: bool):
-    """Usable roots at d, the extremal-weight ladder over them, the estimator."""
+def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
+    """Usable roots at d, the searches' successors, estimator and canonicalizer.
+
+    Both searches carry a state ``(chi, v)``: a weight in fundamental
+    coordinates and a residual in root coordinates.  The path order walks
+    chi -> s_beta(chi) = chi - r*beta at cost r = <chi, beta^vee> >= 1,
+    with v the root coordinates of chi + omega_d, so v reaches zero
+    exactly at -omega_d; the lattice bound subtracts one usable root at
+    unit cost, with chi the residual's own weight.
+
+    The Levi Weyl group W_L, generated by the s_i with i != d, permutes the
+    usable roots, fixes omega_d and keeps every pairing <chi, beta^vee>, so
+    both distances are W_L-invariant.  ``ladder`` and ``subtract`` therefore
+    settle one state per W_L-orbit, its Levi-dominant point ``canon(chi,
+    v)``; ``walk`` is the ladder on single weights, which the witness
+    follows.  ``canon`` only raises v, and the estimator's epsilon part is
+    W_L-invariant, so no estimate drops across it and the estimator stays
+    consistent on orbit steps.  Relaxed searches also step along Levi
+    roots, which W_L does not permute, so there ``canon`` is the identity
+    and no step is skipped.
+    """
     rs = build(rst)
+    cols, ups = _reflection_tables(rst)
     idxs = allowed_root_indices(rs, d, relaxed)
     rootcos = tuple(rs.positive_roots[k] for k in idxs)
-    edges = tuple((rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k]) for k in idxs)
-
-    def ladder(chi, v):
-        # chi -> s_beta(chi) = chi - r*beta at cost r = <chi, beta^vee> >= 1;
-        # the residual v tracks the root coordinates of chi + omega_d, so it
-        # reaches zero exactly at -omega_d.
-        for cv, fk, rc in edges:
-            r = sum(a * b for a, b in zip(chi, cv))
-            if r >= 1:
-                yield (r, tuple(a - r * b for a, b in zip(chi, fk)),
-                       tuple(a - r * b for a, b in zip(v, rc)))
-
-    return rootcos, ladder, _make_estimator(rst, rootcos)
+    edges = tuple((rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k], ups[k]) for k in idxs)
+    if relaxed:
+        levi, canon = (), _same
+    else:
+        levi = tuple(i for i in range(rs.rank) if i != d - 1)
+        canon = _make_canon(cols, levi)
+    return _Search(
+        rootcos=rootcos,
+        walk=_make_moves(edges, (), _same, True),
+        ladder=_make_moves(edges, levi, canon, True),
+        subtract=_make_moves(edges, levi, canon, False),
+        estimate=_make_estimator(rst, rootcos),
+        canon=canon,
+    )
 
 
 def _make_estimator(rst: RootSystemType, rootcos):
@@ -271,10 +396,10 @@ def _make_estimator(rst: RootSystemType, rootcos):
 
 @lru_cache(maxsize=None)
 def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
-    rs = build(rst)
-    _, ladder, estimate = _search_data(rst, d, relaxed)
-    source = source_weight(rs, parab, d)
-    m = _astar(source, _target_cached(rst, parab, d).root_coords, ladder, estimate)
+    search = _search_data(rst, d, relaxed)
+    source = source_weight(build(rst), parab, d)
+    start = search.canon(source, _target_cached(rst, parab, d).root_coords)
+    m = _astar(*start, search.ladder, search.estimate)
     if m is None:
         raise InternalInconsistencyError(f"{rst} d={d}: sink unreachable from {source}")
     return m
@@ -295,21 +420,29 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
     of their weight, and the first one whose exact distance to the sink,
     probed by an A* bounded by the budget left, equals that budget is
     taken.  So ties go to the lexicographically smallest successor
-    weight and the witness is reproducible run to run.
+    weight and the witness is reproducible run to run.  The walk follows
+    single weights; each probe starts from its child's Levi-dominant
+    point and searches orbits, and a probe that found nothing is not
+    repeated for the same orbit and budget.
     """
     rs._check_index(d)
     relaxed = bool(relaxed)
     m = _dijkstra_cached(rs.rst, parabolic, d, relaxed)
-    _, ladder, estimate = _search_data(rs.rst, d, relaxed)
+    search = _search_data(rs.rst, d, relaxed)
     cur = source_weight(rs, parabolic, d)
     v = _target_cached(rs.rst, parabolic, d).root_coords
     left = m
     nodes = [cur]
     steps = []
+    missed = set()  # (orbit, budget) probes that found nothing
     while any(v):
-        for r, child, v2 in sorted(ladder(cur, v), key=lambda e: e[1]):
-            if _astar(child, v2, ladder, estimate, left - r) == left - r:
+        for r, child, v2 in sorted(search.walk(cur, v), key=lambda e: e[1]):
+            start = search.canon(child, v2)
+            if (start[0], left - r) in missed:
+                continue
+            if _astar(*start, search.ladder, search.estimate, left - r) == left - r:
                 break
+            missed.add((start[0], left - r))
         else:
             raise InternalInconsistencyError("witness walk lost the path")
         steps.append((tuple((a - b) // r for a, b in zip(v, v2)), r))
@@ -324,18 +457,13 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
 
 @lru_cache(maxsize=None)
 def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> Optional[int]:
-    rootcos, _, estimate = _search_data(rst, d, relaxed)
-
     # Shortest path in the lattice-point DAG: states are the nonnegative
-    # residual vectors below the target, each edge subtracts one usable
-    # root at unit cost.  Exact by exhaustion; no ladder constraint.
-    def subtract(res, _):
-        for rc in rootcos:
-            res2 = tuple(map(sub, res, rc))
-            yield 1, res2, res2
-
-    T = _target_cached(rst, parab, d).root_coords
-    return _astar(T, T, subtract, estimate)
+    # residuals below the target, each edge subtracts one usable root at
+    # unit cost.  Exact by exhaustion; no ladder constraint.  The target's
+    # weight is its residual's weight, the lattice state's chi.
+    search = _search_data(rst, d, relaxed)
+    tw = _target_cached(rst, parab, d)
+    return _astar(*search.canon(tw.value, tw.root_coords), search.subtract, search.estimate)
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,

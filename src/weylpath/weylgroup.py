@@ -126,6 +126,7 @@ def orbit(rs: RootSystem, weight: Sequence) -> list:
     seeds (normalize first: every orbit meets the dominant cone once).
     """
     seed = tuple(weight)
+    rs._check_length(seed, "weight")
     if not is_dominant(seed):
         raise RootSystemError(f"orbit seed must be dominant, got {seed}")
     seen = {seed}

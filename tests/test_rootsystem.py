@@ -193,6 +193,30 @@ def test_pairing_and_root_basis_reject_wrong_lengths():
     assert rs.from_root_basis((1, 0, 0)) == (2, -1, 0)
 
 
+def test_simple_reflection_rejects_wrong_lengths():
+    rs = build("A3")
+    for weight in ((1,), (1, 0), (1, 0, 0, 5, 7), ()):
+        with pytest.raises(RootSystemError):
+            rs.simple_reflection(1, weight)
+    assert rs.simple_reflection(1, (1, 0, 0)) == (-1, 1, 0)
+
+
+def test_reflect_root_rejects_wrong_lengths():
+    rs = build("A3")
+    for root in ((1,), (1, 0), (1, 0, 0, 9), ()):
+        with pytest.raises(RootSystemError):
+            rs.reflect_root(1, root)
+    assert rs.reflect_root(1, (1, 0, 0)) == (-1, 0, 0)
+
+
+def test_to_root_basis_rejects_wrong_lengths():
+    rs = build("A3")
+    for weight in ((1,), (1, 0), (1, 0, 0, 4), ()):
+        with pytest.raises(RootSystemError):
+            rs.to_root_basis(weight)
+    assert rs.to_root_basis((2, -1, 0)) == (1, 0, 0)
+
+
 def test_eps_transforms_round_trip():
     rng = random.Random(13)
     for label in ("A4", "B5", "C5", "D6", "D3"):

@@ -10,7 +10,7 @@ from weylpath import (
     target_weight, vanishing_result, verify, weyl_involution,
 )
 from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
-from weylpath.vanishing import _search_data
+from weylpath.vanishing import _astar, _search_data, allowed_root_indices
 
 
 def P(rank, d):
@@ -216,13 +216,16 @@ def test_chain_of_bounds():
 @pytest.mark.parametrize("relaxed", [False, True])
 def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
     # The forward probes behind shortest_path are exact only for a
-    # consistent estimator: h(v) <= 1 + h(v - beta) for every usable beta.
+    # consistent estimator: h(v) <= 1 + h(v - beta) for every usable beta,
+    # and h(u) <= r + h(child) on every step of the orbit searches, whose
+    # children are canonicalized.
     rng = random.Random(f"{label}/{p}/{relaxed}")
     rs = build(label)
     parab = P(rs.rank, p)
     for d in range(1, rs.rank + 1):
         T = target_weight(rs, parab, d).root_coords
-        rootcos, _, estimate = _search_data(rs.rst, d, relaxed)
+        search = _search_data(rs.rst, d, relaxed)
+        rootcos, estimate, canon = search.rootcos, search.estimate, search.canon
         residuals = [T, (0,) * rs.rank] + [
             tuple(rng.randint(0, t) for t in T) for _ in range(60)
         ]
@@ -237,7 +240,68 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                     assert h is None
                 else:
                     assert h is not None and h <= 1 + h2, (d, v, beta)
+            # The residual's own weight is a lattice state; shifted by
+            # -omega_d it is a ladder state with the same residual.
+            fund = rs.from_root_basis(v)
+            chi = tuple(a - b for a, b in zip(fund, rs.fundamental_weight(d)))
+            for state, moves in (((fund, v), search.subtract), ((chi, v), search.ladder)):
+                u, w = canon(*state)
+                hu = estimate(w)
+                assert min(w) >= 0 and hu is not None and hu >= estimate(v)
+                for r, child, w2 in moves(u, w):
+                    assert canon(child, w2) == (child, w2)
+                    h2 = estimate(w2)
+                    if h2 is not None:
+                        assert hu <= r + h2, (d, u, child)
         assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
+
+
+def _plain_orders(rs, parab, d, relaxed):
+    # The order and the lattice bound searched one state at a time: the
+    # ladder and unit root subtraction over every usable root, no orbits.
+    edges = [(rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k])
+             for k in allowed_root_indices(rs, d, relaxed)]
+
+    def ladder(chi, v):
+        for cv, fk, rc in edges:
+            r = sum(a * b for a, b in zip(chi, cv))
+            if r >= 1:
+                yield (r, tuple(a - r * b for a, b in zip(chi, fk)),
+                       tuple(a - r * b for a, b in zip(v, rc)))
+
+    def subtract(v, _):
+        for _, _, rc in edges:
+            v2 = tuple(a - b for a, b in zip(v, rc))
+            yield 1, v2, v2
+
+    estimate = _search_data(rs.rst, d, relaxed).estimate
+    T = target_weight(rs, parab, d).root_coords
+    return (_astar(source_weight(rs, parab, d), T, ladder, estimate),
+            _astar(T, T, subtract, estimate))
+
+
+EQUIVALENCE_CONFIGS = [(label, p) for label in TARGET_LABELS if label != "E8"
+                       for p in range(1, build(label).rank + 1)] + [("E8", 1), ("E8", 8)]
+
+
+@pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)
+def test_orbit_search_matches_plain_search(label, p):
+    rs = build(label)
+    parab = P(rs.rank, p)
+    for d in range(1, rs.rank + 1):
+        got = (dijkstra_order(rs, parab, d), lattice_lower_bound(rs, parab, d))
+        assert got == _plain_orders(rs, parab, d, False), (label, p, d)
+
+
+@pytest.mark.parametrize("label,p", [("A5", 3), ("B4", 4), ("C4", 1), ("D5", 2),
+                                     ("E6", 1), ("F4", 3), ("G2", 2)])
+def test_relaxed_search_matches_plain_search(label, p):
+    rs = build(label)
+    parab = P(rs.rank, p)
+    for d in range(1, rs.rank + 1):
+        got = (dijkstra_order(rs, parab, d, relaxed=True),
+               lattice_lower_bound(rs, parab, d, relaxed=True))
+        assert got == _plain_orders(rs, parab, d, True), (label, p, d)
 
 
 # -- coefficient bound --------------------------------------------------------

@@ -127,6 +127,35 @@ def test_identity_holds_exactly_at_cominuscule_parabolics():
     assert seen == 158
 
 
+# Path-order and lattice profiles of E8 at every node, from the searches
+# that settle one weight at a time (up to about 190 s per node on a
+# 2-vCPU VM, so they are not rerun here).
+E8_PLAIN_PROFILES = {
+    1: ((4, 5, 7, 10, 8, 6, 4, 2), (4, 5, 7, 10, 8, 6, 4, 2)),
+    2: ((4, 8, 9, 14, 11, 8, 5, 2), (4, 6, 7, 10, 8, 6, 4, 2)),
+    3: ((4, 7, 10, 14, 11, 8, 5, 2), (4, 5, 7, 10, 8, 6, 4, 2)),
+    4: ((4, 7, 9, 14, 11, 8, 5, 2), (4, 5, 7, 10, 8, 6, 4, 2)),
+    5: ((4, 7, 9, 14, 12, 8, 5, 2), (4, 5, 7, 10, 8, 6, 4, 2)),
+    6: ((4, 6, 8, 12, 10, 8, 5, 2), (3, 5, 6, 9, 8, 6, 4, 2)),
+    7: ((4, 6, 8, 12, 10, 8, 6, 2), (3, 4, 6, 8, 7, 6, 4, 2)),
+    8: ((2, 3, 4, 6, 5, 4, 3, 2), (2, 3, 4, 6, 5, 4, 3, 2)),
+}
+
+
+def test_e8_every_node():
+    # E8 has no cominuscule node, so the identity fails at every one.
+    rs = build("E8")
+    assert cominuscule_indices(rs) == []
+    for p in range(1, 9):
+        rep = verify("E8", omitted=p)
+        assert not rep.identity and rep.sum_m < rep.dim_gp, p
+        for row in rep.rows:
+            assert row.c_alpha is None or row.c_alpha <= row.m_lattice_lb, (p, row)
+            assert row.m_lattice_lb <= row.m_dijkstra, (p, row)
+        lattice = tuple(row.m_lattice_lb for row in rep.rows)
+        assert (rep.m_profile, lattice) == E8_PLAIN_PROFILES[p], p
+
+
 def test_dim_quotient_rejects_parabolic_of_wrong_rank():
     for parab in (Parabolic.maximal(5, 5), Parabolic.maximal(2, 1)):
         with pytest.raises(RootSystemError):

@@ -143,6 +143,14 @@ def test_orbit_rejects_non_dominant():
         orbit(rs, (-1, 0))
 
 
+def test_orbit_rejects_wrong_lengths():
+    rs = build("A3")
+    for weight in ((1,), (1, 0), (1, 0, 0, 5, 7), ()):
+        with pytest.raises(RootSystemError):
+            orbit(rs, weight)
+    assert len(orbit(rs, (1, 0, 0))) == 4
+
+
 def test_minuscule_classification():
     assert minuscule_indices(build("A6")) == [1, 2, 3, 4, 5, 6]
     assert minuscule_indices(build("B5")) == [5]
