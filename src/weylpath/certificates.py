@@ -298,6 +298,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+# Largest rank a certificate file may name: far above every rank in use,
+# and low enough that building the root system it names stays cheap.
+MAX_CERTIFICATE_RANK = 64
+
+
 def _plain_int(value, what: str) -> int:
     # type() rather than isinstance(): bool is an int subclass, and a
     # true multiplicity must not be read as 1.
@@ -310,11 +315,14 @@ def certificate_from_dict(data: dict) -> Certificate:
     """Parse a certificate document, rejecting anything but exact integers.
 
     Raises :class:`RootSystemError` for missing keys, non-integer or
-    boolean numbers, root coordinates not of the rank's length, and a d
-    or parabolic index outside ``1..rank``.
+    boolean numbers, a rank above :data:`MAX_CERTIFICATE_RANK`, root
+    coordinates not of the rank's length, and a d or parabolic index
+    outside ``1..rank``.
     """
     try:
         rank = _plain_int(data["rank"], "rank")
+        if rank > MAX_CERTIFICATE_RANK:
+            raise ValueError(f"rank {rank} exceeds the cap of {MAX_CERTIFICATE_RANK}")
         rst = RootSystemType(str(data["family"]).upper(), rank)
         omitted = _plain_int(data["parabolic_omitted_index"], "parabolic_omitted_index")
         d = _plain_int(data["d"], "d")

@@ -200,9 +200,12 @@ class RootSystem:
     """One immutable root system: Cartan data plus the positive roots.
 
     Positive roots are enumerated by reflection closure of the simple
-    roots (keep images with all coordinates >= 0) and frozen in
-    (height, lexicographic) order.  The integer pairing data is
-    precomputed once; the rational inverse of the Cartan matrix, needed
+    roots and frozen in (height, lexicographic) order.  The closure
+    carries each root's fundamental coordinates with it: s_i moves a root
+    beta to beta - k*alpha_i with k = <beta, alpha_i^vee>, so the image's
+    coordinates are the parent's minus k times column i of the Cartan
+    matrix, stored once by its nonzero entries.  The integer pairing data
+    is precomputed once; the rational inverse of the Cartan matrix, needed
     only by :meth:`to_root_basis`, is computed on its first call.
     Instances are safe to share between threads.
     """
@@ -210,7 +213,7 @@ class RootSystem:
     __slots__ = (
         "rst", "rank", "cartan", "sym", "positive_roots",
         "_pos_set", "_halfnorm", "_coroots", "_fund_coords",
-        "_cartan_inv", "_root_index",
+        "_cartan_inv", "_root_index", "_cartan_cols",
     )
 
     def __init__(self, rst: RootSystemType):
@@ -218,7 +221,12 @@ class RootSystem:
         self.rank = rst.rank
         self.cartan, self.sym = _cartan_and_symmetrizers(rst)
         self._cartan_inv = None
-        self.positive_roots = self._close_positive_roots()
+        # column i by its nonzero entries (j, <alpha_{i+1}, alpha_{j+1}^vee>)
+        A = self.cartan
+        self._cartan_cols = tuple(tuple((j, A[j][i]) for j in range(self.rank) if A[j][i])
+                                  for i in range(self.rank))
+        fund_of = self._close_positive_roots()
+        self.positive_roots = tuple(sorted(fund_of, key=lambda c: (sum(c), c)))
         self._pos_set = frozenset(self.positive_roots)
         self._root_index = {c: k for k, c in enumerate(self.positive_roots)}
 
@@ -229,9 +237,9 @@ class RootSystem:
             )
 
         halfnorm, coroots, fund = [], [], []
-        A, dvec = self.cartan, self.sym
+        dvec = self.sym
         for c in self.positive_roots:
-            f = tuple(sum(A[i][j] * c[j] for j in range(self.rank)) for i in range(self.rank))
+            f = fund_of[c]
             # (beta, beta) = sum_ij c_i d_i A_ij c_j = sum_i c_i d_i <beta, alpha_i^vee>
             nn = sum(ci * di * fi for ci, di, fi in zip(c, dvec, f))
             if nn <= 0 or nn % 2:
@@ -252,27 +260,36 @@ class RootSystem:
 
     # -- enumeration ---------------------------------------------------
 
-    def _close_positive_roots(self):
+    def _close_positive_roots(self) -> dict:
+        """Every positive root, mapped to its fundamental coordinates.
+
+        Each positive root of height > 1 is s_i(gamma) = gamma - k*alpha_i
+        for a lower positive root gamma with k = <gamma, alpha_i^vee> < 0,
+        so only those raising reflections are followed.  The image's
+        coordinates are gamma's minus k times the sparse column i.
+        """
         n = self.rank
-        A = self.cartan
-        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        seen = set(simple)
-        frontier = list(simple)
+        cols = self._cartan_cols
+        # alpha_i's fundamental coordinates are column i of the Cartan matrix
+        fund_of = {tuple(int(i == j) for j in range(n)): tuple(row[i] for row in self.cartan)
+                   for i in range(n)}
+        frontier = list(fund_of)
         while frontier:
             nxt = []
             for c in frontier:
-                pair = [sum(A[i][j] * c[j] for j in range(n)) for i in range(n)]
-                for i in range(n):
-                    if pair[i] == 0:
+                f = fund_of[c]
+                for i, k in enumerate(f):
+                    if k >= 0:
                         continue
-                    img = list(c)
-                    img[i] -= pair[i]
-                    img = tuple(img)
-                    if img not in seen and all(x >= 0 for x in img):
-                        seen.add(img)
+                    img = (*c[:i], c[i] - k, *c[i + 1:])
+                    if img not in fund_of:
+                        g = list(f)
+                        for j, a in cols[i]:
+                            g[j] -= k * a
+                        fund_of[img] = tuple(g)
                         nxt.append(img)
             frontier = nxt
-        return tuple(sorted(seen, key=lambda c: (sum(c), c)))
+        return fund_of
 
     # -- basic accessors -----------------------------------------------
 

@@ -127,15 +127,12 @@ class VanishingResult:
 
 @lru_cache(maxsize=None)
 def _reflection_tables(rst: RootSystemType):
-    """The Cartan matrix by sparse columns, ``cols[i]`` holding the
-    ``(j, <alpha_{i+1}, alpha_{j+1}^vee>)`` that are nonzero, and per positive
-    root the bitmask of the indices i with ``<beta, alpha_{i+1}^vee> > 0``."""
+    """The root system's stored sparse Cartan columns, ``cols[i]`` holding
+    the ``(j, <alpha_{i+1}, alpha_{j+1}^vee>)`` that are nonzero, and per
+    positive root the bitmask of the indices i with ``<beta, alpha_{i+1}^vee> > 0``."""
     rs = build(rst)
-    A = rs.cartan
-    cols = tuple(tuple((j, A[j][i]) for j in range(rs.rank) if A[j][i])
-                 for i in range(rs.rank))
     ups = tuple(sum(1 << i for i, x in enumerate(f) if x > 0) for f in rs._fund_coords)
-    return cols, ups
+    return rs._cartan_cols, ups
 
 
 def _make_canon(cols, indices):
@@ -231,15 +228,15 @@ def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
     """Cost of a cheapest walk from ``start`` that clears the residual ``v0``.
 
     ``successors(state, v)`` yields ``(cost, child, v2)``.  Children whose
-    residual goes negative, that ``estimate`` declares hopeless, or whose
-    cost-plus-estimate exceeds ``bound`` are dropped.  The estimator is
-    consistent, so each state is settled once at its exact distance and
-    the first state popped with a zero residual ends the search.  Equal
-    estimates pop deepest first, which walks straight down the
-    tight-estimate corridor.  Returns ``None`` if nothing fits in ``bound``.
+    residual goes negative or whose cost-plus-estimate exceeds ``bound``
+    are dropped.  The estimator is consistent, so each state is settled
+    once at its exact distance and the first state popped with a zero
+    residual ends the search.  Equal estimates pop deepest first, which
+    walks straight down the tight-estimate corridor.  Returns ``None`` if
+    nothing fits in ``bound``.
     """
     h0 = estimate(v0)
-    if h0 is None or (bound is not None and h0 > bound):
+    if bound is not None and h0 > bound:
         return None
     heap = [(h0, 0, start, v0)]
     settled = set()
@@ -255,7 +252,7 @@ def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
             if min(v2) < 0 or child in settled:
                 continue
             h = estimate(v2)
-            if h is None or (bound is not None and g + r + h > bound):
+            if bound is not None and g + r + h > bound:
                 continue
             heapq.heappush(heap, (g + r + h, -(g + r), child, v2))
     return None
@@ -308,7 +305,6 @@ def _make_moves(edges, levi, canon, ladder):
 
 
 class _Search(NamedTuple):
-    rootcos: tuple      # usable roots at d, simple-root coordinates
     walk: Callable      # the ladder on single weights
     ladder: Callable    # the ladder on orbits
     subtract: Callable  # unit root subtraction on orbits
@@ -318,7 +314,7 @@ class _Search(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
-    """Usable roots at d, the searches' successors, estimator and canonicalizer.
+    """The searches' successors, estimator and canonicalizer at d.
 
     Both searches carry a state ``(chi, v)``: a weight in fundamental
     coordinates and a residual in root coordinates.  The path order walks
@@ -340,51 +336,59 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
     """
     rs = build(rst)
     cols, ups = _reflection_tables(rst)
-    idxs = allowed_root_indices(rs, d, relaxed)
-    rootcos = tuple(rs.positive_roots[k] for k in idxs)
-    edges = tuple((rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k], ups[k]) for k in idxs)
+    edges = tuple((rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k], ups[k])
+                  for k in allowed_root_indices(rs, d, relaxed))
     if relaxed:
         levi, canon = (), _same
     else:
         levi = tuple(i for i in range(rs.rank) if i != d - 1)
         canon = _make_canon(cols, levi)
     return _Search(
-        rootcos=rootcos,
         walk=_make_moves(edges, (), _same, True),
         ladder=_make_moves(edges, levi, canon, True),
         subtract=_make_moves(edges, levi, canon, False),
-        estimate=_make_estimator(rst, rootcos),
+        estimate=_make_estimator(rs),
         canon=canon,
     )
 
 
-def _make_estimator(rst: RootSystemType, rootcos):
+def _estimator_bounds(rs: RootSystem):
+    """Largest j-coefficient of a usable root per j, and in the classical
+    families the largest epsilon L1 norm of one (0 elsewhere), at every d.
+
+    Both are the highest root's: it has full support, so it is usable at
+    every d, relaxed or not, and it dominates every positive root
+    coefficient by coefficient.  Its epsilon L1 norm is 2, the most any
+    root of the classical realizations has.
+    """
+    theta = rs.positive_roots[-1]
+    if rs.rst.family not in "ABCD":
+        return theta, 0
+    return theta, sum(map(abs, eps_from_root_coords(rs.rst, theta)))
+
+
+def _make_estimator(rs: RootSystem):
     """Admissible lower bound on the cost still needed to clear a residual.
 
     Combines two arguments: per simple index j, the residual coefficient
     divided by the largest j-coefficient among the usable roots; and, in
     the classical families, the L1 norm of the residual in epsilon
-    coordinates divided by the largest L1 norm of a usable root (at most
-    two), since each unit of cost moves at most that many epsilon units.
-    Returns None for residuals no combination of usable roots can clear.
+    coordinates divided by the largest L1 norm of a usable root, since
+    each unit of cost moves at most that many epsilon units.  Both
+    constants come from the highest root (:func:`_estimator_bounds`),
+    whose full support also means no residual is declared hopeless.
     """
-    rank = rst.rank
-    maxcoef = tuple(max(c[j] for c in rootcos) for j in range(rank))
-    classical = rst.family in "ABCD"
-    maxstep = 0
-    if classical:
-        maxstep = max(sum(map(abs, eps_from_root_coords(rst, c))) for c in rootcos)
+    rst = rs.rst
+    maxcoef, maxstep = _estimator_bounds(rs)
 
-    def estimate(v) -> Optional[int]:
+    def estimate(v) -> int:
         h = 0
         for vj, mj in zip(v, maxcoef):
             if vj > 0:
-                if mj == 0:
-                    return None
                 q = -(-vj // mj)
                 if q > h:
                     h = q
-        if classical:
+        if maxstep:
             l1 = sum(map(abs, eps_from_root_coords(rst, v)))
             q = -(-l1 // maxstep)
             if q > h:

@@ -84,7 +84,8 @@ def _verify_cached(rst: RootSystemType, omitted: int, relaxed: bool,
         rows.append(vanishing_result(rs, parab, d, certificate_cost=cost,
                                      relaxed_extra=relaxed))
         if with_witnesses:
-            _, steps, _ = shortest_path(rs, parab, d)
+            # A path certificate already holds the canonical witness's steps.
+            steps = cert.entries if cert.origin == "path" else shortest_path(rs, parab, d)[1]
             witnesses.append(steps)
     sum_m = sum(r.m_dijkstra for r in rows)
     dim = dim_quotient(rs, parab)

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from weylpath import (
-    Parabolic, RootSystemError, build,
+    Parabolic, RootSystem, RootSystemError, build,
     best_certificate, catalog_certificate, catalog_pair_choices,
     certificate_from_dict, certificate_to_dict, check_certificate,
     dijkstra_order, dump_certificate, epsilon_to_root, load_certificate,
     path_certificate,
 )
+from weylpath.certificates import MAX_CERTIFICATE_RANK
 from weylpath.cli import main
 
 
@@ -156,6 +157,30 @@ def test_malformed_certificate_data_rejected():
             "family": "Q", "rank": 5, "parabolic_omitted_index": 1, "d": 1,
             "entries": [],
         })
+
+
+def test_certificate_rank_above_cap_rejected():
+    doc = {"family": "A", "rank": 100000, "parabolic_omitted_index": 1, "d": 1, "entries": []}
+    with pytest.raises(RootSystemError, match=f"cap of {MAX_CERTIFICATE_RANK}"):
+        certificate_from_dict(doc)
+    doc["rank"] = MAX_CERTIFICATE_RANK
+    assert certificate_from_dict(doc).rst.rank == MAX_CERTIFICATE_RANK
+
+
+def test_check_cert_cli_rejects_huge_rank_without_building(tmp_path, capsys, monkeypatch):
+    def refuse(self, rst):
+        raise AssertionError(f"built {rst}")
+
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"family": "A", "rank": 100000, "parabolic_omitted_index": 1,
+                                "d": 1, "entries": []}))
+    code = main(["check-cert", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert str(MAX_CERTIFICATE_RANK) in out.err
 
 
 # -- hostile certificate documents --------------------------------------------

@@ -173,6 +173,57 @@ def test_positive_roots_closed_under_reflections():
                     assert rs.is_positive_root(img)
 
 
+BUILD_LABELS = (
+    [f"A{n}" for n in range(1, 21)]
+    + [f"B{n}" for n in range(2, 21)]
+    + [f"C{n}" for n in range(2, 21)]
+    + [f"D{n}" for n in range(3, 21)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _dense_build(rs):
+    # The dense construction the build replaced: close the simple roots
+    # under every simple reflection that keeps coordinates nonnegative,
+    # then compute each root's fundamental coordinates as A @ c.
+    n, A, dvec = rs.rank, rs.cartan, rs.sym
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen, frontier = set(simple), list(simple)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            pair = [sum(A[i][j] * c[j] for j in range(n)) for i in range(n)]
+            for i in range(n):
+                if pair[i] == 0:
+                    continue
+                img = list(c)
+                img[i] -= pair[i]
+                img = tuple(img)
+                if img not in seen and all(x >= 0 for x in img):
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    roots = tuple(sorted(seen, key=lambda c: (sum(c), c)))
+    fund, coroots, halfnorm = [], [], []
+    for c in roots:
+        f = tuple(sum(A[i][j] * c[j] for j in range(n)) for i in range(n))
+        hn = sum(ci * di * fi for ci, di, fi in zip(c, dvec, f)) // 2
+        fund.append(f)
+        coroots.append(tuple(c[j] * dvec[j] // hn for j in range(n)))
+        halfnorm.append(hn)
+    return roots, tuple(fund), tuple(coroots), tuple(halfnorm)
+
+
+@pytest.mark.parametrize("label", BUILD_LABELS)
+def test_sparse_build_matches_dense_build(label):
+    rs = build(label)
+    roots, fund, coroots, halfnorm = _dense_build(rs)
+    assert rs.positive_roots == roots
+    assert rs._fund_coords == fund
+    assert rs._coroots == coroots
+    assert rs._halfnorm == halfnorm
+
+
 def test_pairing_rejects_non_roots():
     rs = build("A3")
     with pytest.raises(RootSystemError):

@@ -10,7 +10,8 @@ from weylpath import (
     target_weight, vanishing_result, verify, weyl_involution,
 )
 from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
-from weylpath.vanishing import _astar, _search_data, allowed_root_indices
+from weylpath.rootsystem import eps_from_root_coords
+from weylpath.vanishing import _astar, _estimator_bounds, _search_data, allowed_root_indices
 
 
 def P(rank, d):
@@ -225,7 +226,8 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
     for d in range(1, rs.rank + 1):
         T = target_weight(rs, parab, d).root_coords
         search = _search_data(rs.rst, d, relaxed)
-        rootcos, estimate, canon = search.rootcos, search.estimate, search.canon
+        rootcos = [rs.positive_roots[k] for k in allowed_root_indices(rs, d, relaxed)]
+        estimate, canon = search.estimate, search.canon
         residuals = [T, (0,) * rs.rank] + [
             tuple(rng.randint(0, t) for t in T) for _ in range(60)
         ]
@@ -254,6 +256,30 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                     if h2 is not None:
                         assert hu <= r + h2, (d, u, child)
         assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
+
+
+ESTIMATOR_LABELS = (
+    [f"A{n}" for n in range(1, 21)]
+    + [f"B{n}" for n in range(2, 21)]
+    + [f"C{n}" for n in range(2, 21)]
+    + [f"D{n}" for n in range(3, 21)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", ESTIMATOR_LABELS)
+def test_estimator_bounds_match_scan_over_usable_roots(label):
+    # The highest root's coefficients and epsilon L1 norm equal the
+    # largest ones among the usable roots at every d, relaxed or not.
+    rs = build(label)
+    classical = rs.rst.family in "ABCD"
+    for d in range(1, rs.rank + 1):
+        for relaxed in (False, True):
+            rootcos = [rs.positive_roots[k] for k in allowed_root_indices(rs, d, relaxed)]
+            maxcoef = tuple(max(c[j] for c in rootcos) for j in range(rs.rank))
+            maxstep = max(sum(map(abs, eps_from_root_coords(rs.rst, c))) for c in rootcos) \
+                if classical else 0
+            assert _estimator_bounds(rs) == (maxcoef, maxstep), (d, relaxed)
 
 
 def _plain_orders(rs, parab, d, relaxed):

@@ -12,7 +12,7 @@ from weylpath import (
     Parabolic, RootSystem, RootSystemError, build, clear_caches, cominuscule_indices,
     dim_quotient, list_minuscule,
     report_from_json, report_to_dict, report_to_json, report_to_markdown,
-    suite_to_dict, suite_to_json, suite_to_markdown,
+    shortest_path, suite_to_dict, suite_to_json, suite_to_markdown,
     tabulated_configurations, verify, verify_suite,
 )
 
@@ -241,6 +241,36 @@ def test_cold_suite_runs_on_the_integer_root_table(monkeypatch):
         assert suite_to_json(verify_suite(8)) == want
     finally:
         clear_caches()
+
+
+def test_witnesses_walk_each_path_once(monkeypatch):
+    # A witness whose certificate came from the path is read off the
+    # certificate; E8/P6 has no tabulated tuples, so one walk per d.
+    clear_caches()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return shortest_path(*args, **kwargs)
+
+    for module in ("vanishing", "certificates", "verify"):
+        monkeypatch.setattr(sys.modules[f"weylpath.{module}"], "shortest_path", counted)
+    try:
+        rep = verify("E", 8, omitted=6, with_witnesses=True)
+    finally:
+        clear_caches()
+    assert sorted(calls) == list(range(1, 9))
+    assert len(rep.witnesses) == 8
+
+
+@pytest.mark.parametrize("label,p", [("A4", 2), ("B4", 4), ("B3", 1), ("C3", 1),
+                                     ("D5", 5), ("E6", 2), ("F4", 3), ("G2", 1)])
+def test_witnesses_are_the_canonical_paths(label, p):
+    rs = build(label)
+    rep = verify(label, omitted=p, with_witnesses=True)
+    parab = Parabolic.maximal(rs.rank, p)
+    want = tuple(shortest_path(rs, parab, d)[1] for d in range(1, rs.rank + 1))
+    assert rep.witnesses == want
 
 
 def test_traced_layers_resolve():
