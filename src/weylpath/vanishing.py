@@ -30,6 +30,14 @@ of an orbit (see :func:`_search_data`).  The witness walk in
 :func:`shortest_path` still follows single weights; only its bounded
 probes run on orbits.  Relaxed searches step along Levi roots too, which
 W_L does not permute, so they are not quotiented.
+
+A state's candidate roots come from bitsets over the positive roots,
+built once per system (:func:`_reflection_tables`): the usable set at d,
+minus the roots its stabilizer moves, and for the lattice bound minus
+the roots that do not fit under the residual.  The lattice search runs
+under a bound widened one at a time from its estimate, which is usually
+already exact, and under it each state also drops the roots whose child
+cannot meet the bound (:func:`_make_moves`).
 """
 
 from __future__ import annotations
@@ -127,12 +135,34 @@ class VanishingResult:
 
 @lru_cache(maxsize=None)
 def _reflection_tables(rst: RootSystemType):
-    """The root system's stored sparse Cartan columns, ``cols[i]`` holding
-    the ``(j, <alpha_{i+1}, alpha_{j+1}^vee>)`` that are nonzero, and per
-    positive root the bitmask of the indices i with ``<beta, alpha_{i+1}^vee> > 0``."""
+    """The root system's stored sparse Cartan columns and two bitset tables
+    over its positive roots, bit k standing for ``rs.positive_roots[k]``.
+
+    ``cols[i]`` holds the ``(j, <alpha_{i+1}, alpha_{j+1}^vee>)`` that are
+    nonzero.  ``blocked[i]`` is the set of roots with
+    ``<beta, alpha_{i+1}^vee> > 0``.  ``atleast[j][t]`` is the set of roots
+    whose coefficient at j is at least t, for t = 0..theta_j + 1 with theta
+    the highest root, so ``atleast[j][0]`` holds every root and the last
+    entry none.
+    """
     rs = build(rst)
-    ups = tuple(sum(1 << i for i, x in enumerate(f) if x > 0) for f in rs._fund_coords)
-    return rs._cartan_cols, ups
+    roots = rs.positive_roots
+    blocked = [0] * rs.rank
+    for k, f in enumerate(rs._fund_coords):
+        for i, x in enumerate(f):
+            if x > 0:
+                blocked[i] |= 1 << k
+    atleast = []
+    for col, top in zip(zip(*roots), roots[-1]):
+        sets = [0] * (top + 2)  # first the roots with coefficient exactly t
+        for k, x in enumerate(col):
+            if x:
+                sets[x] |= 1 << k
+        sets[0] = (1 << len(roots)) - 1
+        for t in range(top, 0, -1):
+            sets[t] |= sets[t + 1]
+        atleast.append(tuple(sets))
+    return rs._cartan_cols, tuple(blocked), tuple(atleast)
 
 
 def _make_canon(cols, indices):
@@ -176,18 +206,27 @@ def _make_canon(cols, indices):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _dominant_negated(rst: RootSystemType, d: int):
+    """-omega_d raised to its dominant point over all of W: the pair
+    ``(lam, b)`` with lam = -w0(omega_d) = -omega_d + b, b in root
+    coordinates.  It depends on the system and d only, not the parabolic."""
+    n = rst.rank
+    cols = _reflection_tables(rst)[0]
+    return _make_canon(cols, range(n))(tuple(-int(j == d - 1) for j in range(n)), (0,) * n)
+
+
+@lru_cache(maxsize=None)
 def _target_cached(rst: RootSystemType, parab: Parabolic, d: int) -> TargetWeight:
-    # Raising -omega_d to its dominant point over all of W gives
-    # lam = -w0(omega_d) = -omega_d + b; raising -lam over the Levi gives
-    # -tau(lam) = -lam + c.  So the target omega_d + tau(lam) is exactly
-    # b - c in root coordinates, integral by construction.  It is a sum of
-    # positive roots, which the check below confirms.
+    # With lam = -w0(omega_d) = -omega_d + b, raising -lam over the Levi
+    # gives -tau(lam) = -lam + c.  So the target omega_d + tau(lam) is
+    # exactly b - c in root coordinates, integral by construction.  It is a
+    # sum of positive roots, which the check below confirms.
     rs = build(rst)
     rs._check_parabolic(parab)
     cols = _reflection_tables(rst)[0]
     zero = (0,) * rs.rank
     omega = rs.fundamental_weight(d)
-    lam, b = _make_canon(cols, range(rs.rank))(tuple(-x for x in omega), zero)
+    lam, b = _dominant_negated(rst, d)
     levi = [i - 1 for i in sorted(parab.retained)]
     neg_tau, c = _make_canon(cols, levi)(tuple(-x for x in lam), zero)
     value = tuple(map(sub, omega, neg_tau))
@@ -227,13 +266,15 @@ def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple
 def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
     """Cost of a cheapest walk from ``start`` that clears the residual ``v0``.
 
-    ``successors(state, v)`` yields ``(cost, child, v2)``.  Children whose
-    residual goes negative or whose cost-plus-estimate exceeds ``bound``
-    are dropped.  The estimator is consistent, so each state is settled
-    once at its exact distance and the first state popped with a zero
-    residual ends the search.  Equal estimates pop deepest first, which
-    walks straight down the tight-estimate corridor.  Returns ``None`` if
-    nothing fits in ``bound``.
+    ``successors(state, v)`` yields ``(cost, child, v2)``; under a
+    ``bound`` it is called as ``successors(state, v, bound - g)`` and may
+    leave out children whose cost plus estimate cannot fit that slack.
+    Children whose residual goes negative or whose cost-plus-estimate
+    exceeds ``bound`` are dropped.  The estimator is consistent, so each
+    state is settled once at its exact distance and the first state
+    popped with a zero residual ends the search.  Equal estimates pop
+    deepest first, which walks straight down the tight-estimate corridor.
+    Returns ``None`` if nothing fits in ``bound``.
     """
     h0 = estimate(v0)
     if bound is not None and h0 > bound:
@@ -248,7 +289,8 @@ def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
             return -negg
         settled.add(state)
         g = -negg
-        for r, child, v2 in successors(state, v):
+        moves = successors(state, v) if bound is None else successors(state, v, bound - g)
+        for r, child, v2 in moves:
             if min(v2) < 0 or child in settled:
                 continue
             h = estimate(v2)
@@ -262,41 +304,58 @@ def _same(chi, v):
     return chi, v
 
 
-def _make_moves(edges, levi, canon, ladder):
+def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
     """Successors ``(cost, child, v2)`` of a Levi-dominant state.
 
-    ``edges`` holds ``(coroot, fund, root, ups)`` per usable root.  A ladder
-    step costs r = <chi, beta^vee> >= 1 and subtracts r*beta; otherwise a
-    step costs 1 and subtracts beta.  The stabilizer of chi is generated by
-    the s_i, i in ``levi``, with chi_i = 0, and of each of its orbits on the
-    usable roots only the member with no such i in ``ups`` is stepped
-    along.  Children are canonicalized and the cheapest step to each kept.
-    With ``levi`` empty and ``canon`` the identity these are the plain
-    steps between single states.
+    ``usable`` is the bitset of usable roots (see :func:`_reflection_tables`).
+    A ladder step costs r = <chi, beta^vee> >= 1 and subtracts r*beta;
+    otherwise a step costs 1 and subtracts beta.  The stabilizer of chi is
+    generated by the s_i, i in ``levi``, with chi_i = 0, and of each of its
+    orbits on the usable roots only the member outside every such
+    ``blocked[i]`` is stepped along.  A unit step also keeps only the roots
+    that fit under v, and under a ``slack`` only those whose child can
+    still meet it: canonicalizing only raises v, so the child's estimate
+    is at least max_j ceil((v_j - beta_j) / theta_j), and a root with
+    beta_j < v_j - (slack - 1)*theta_j has 1 + h(child) > slack.  The
+    remaining roots are stepped along from low to high index, children
+    are canonicalized and the cheapest step to each is kept.  With
+    ``levi`` empty and ``canon`` the identity these are the plain steps
+    between single states.
     """
-    def successors(chi, v):
-        zero = 0
+    _, blocked, atleast = _reflection_tables(rs.rst)
+    coroots, funds, roots = rs._coroots, rs._fund_coords, rs.positive_roots
+    theta = roots[-1]
+    tops = tuple(t + 1 for t in theta)  # atleast[j][tops[j]] is empty
+
+    def successors(chi, v, slack=None):
+        mask = usable
         for i in levi:
             if not chi[i]:
-                zero |= 1 << i
+                mask &= ~blocked[i]
+        if not ladder:
+            for j, vj in enumerate(v):
+                if vj < tops[j]:
+                    mask &= ~atleast[j][vj + 1]
+                if slack is not None:
+                    t = vj - (slack - 1) * theta[j]
+                    if t > 0:
+                        mask &= atleast[j][min(t, tops[j])]
         best = {}
-        for cv, fk, rc, up in edges:
-            if up & zero:
-                continue
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            k = low.bit_length() - 1
             if ladder:
-                r = sum(map(mul, chi, cv))
+                r = sum(map(mul, chi, coroots[k]))
                 if r < 1:
                     continue
-                v2 = tuple(a - r * b for a, b in zip(v, rc))
+                v2 = tuple(a - r * b for a, b in zip(v, roots[k]))
                 if min(v2) < 0:
                     continue
-                child, v2 = canon(tuple(a - r * b for a, b in zip(chi, fk)), v2)
+                child, v2 = canon(tuple(a - r * b for a, b in zip(chi, funds[k])), v2)
             else:
                 r = 1
-                v2 = tuple(map(sub, v, rc))
-                if min(v2) < 0:
-                    continue
-                child, v2 = canon(tuple(map(sub, chi, fk)), v2)
+                child, v2 = canon(tuple(map(sub, chi, funds[k])), tuple(map(sub, v, roots[k])))
             if child not in best or r < best[child][0]:
                 best[child] = (r, v2)
         return [(r, child, v2) for child, (r, v2) in best.items()]
@@ -333,20 +392,22 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
     consistent on orbit steps.  Relaxed searches also step along Levi
     roots, which W_L does not permute, so there ``canon`` is the identity
     and no step is skipped.
+
+    The usable roots are one bitset, ``atleast[d-1][1]`` of
+    :func:`_reflection_tables` (every root when relaxed), which the
+    successors narrow per state; see :func:`_make_moves`.
     """
     rs = build(rst)
-    cols, ups = _reflection_tables(rst)
-    edges = tuple((rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k], ups[k])
-                  for k in allowed_root_indices(rs, d, relaxed))
+    cols, _, atleast = _reflection_tables(rst)
     if relaxed:
-        levi, canon = (), _same
+        usable, levi, canon = (1 << len(rs.positive_roots)) - 1, (), _same
     else:
-        levi = tuple(i for i in range(rs.rank) if i != d - 1)
+        usable, levi = atleast[d - 1][1], tuple(i for i in range(rs.rank) if i != d - 1)
         canon = _make_canon(cols, levi)
     return _Search(
-        walk=_make_moves(edges, (), _same, True),
-        ladder=_make_moves(edges, levi, canon, True),
-        subtract=_make_moves(edges, levi, canon, False),
+        walk=_make_moves(rs, usable, (), _same, True),
+        ladder=_make_moves(rs, usable, levi, canon, True),
+        subtract=_make_moves(rs, usable, levi, canon, False),
         estimate=_make_estimator(rs),
         canon=canon,
     )
@@ -464,10 +525,18 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool
     # Shortest path in the lattice-point DAG: states are the nonnegative
     # residuals below the target, each edge subtracts one usable root at
     # unit cost.  Exact by exhaustion; no ladder constraint.  The target's
-    # weight is its residual's weight, the lattice state's chi.
+    # weight is its residual's weight, the lattice state's chi.  The bound
+    # widens from the start's estimate, which is usually already exact, so
+    # each expansion generates only the children that can still meet it;
+    # no decomposition has more summands than the start residual's height.
     search = _search_data(rst, d, relaxed)
     tw = _target_cached(rst, parab, d)
-    return _astar(*search.canon(tw.value, tw.root_coords), search.subtract, search.estimate)
+    start, v0 = search.canon(tw.value, tw.root_coords)
+    for bound in range(search.estimate(v0), sum(v0) + 1):
+        m = _astar(start, v0, search.subtract, search.estimate, bound)
+        if m is not None:
+            return m
+    return None
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,

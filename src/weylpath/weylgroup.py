@@ -151,10 +151,14 @@ def orbit_size(rs: RootSystem, weight: Sequence) -> int:
 def minuscule_indices(rs: RootSystem) -> list:
     """Fundamental indices d with <omega_d, beta^vee> <= 1 over all beta > 0.
 
-    <omega_d, beta^vee> is entry d of beta^vee in simple coroots, which
-    the root system stores as an integer vector for every beta > 0.
+    <omega_d, beta^vee> is entry d of beta^vee in simple coroots.  The
+    coroots are the positive roots of the dual system, whose highest root,
+    the coroot of the highest short root, dominates every coroot entry by
+    entry.  Short roots have half norm 1, and the highest short root is the
+    last of them in the (height, lex) order of ``positive_roots``.
     """
-    return [d for d in range(1, rs.rank + 1) if max(cv[d - 1] for cv in rs._coroots) <= 1]
+    hn = rs._halfnorm
+    return [d for d, c in enumerate(rs._coroots[len(hn) - 1 - hn[::-1].index(1)], start=1) if c <= 1]
 
 
 def cominuscule_indices(rs: RootSystem) -> list:

@@ -7,8 +7,9 @@ from weylpath import (
     Certificate, Parabolic, RootSystemError, build,
     apply_word, check_certificate, clear_caches, coefficient_lower_bound, dijkstra_order,
     lattice_lower_bound, longest_element, shortest_path, source_weight,
-    target_weight, vanishing_result, verify, weyl_involution,
+    target_weight, vanishing_result, verify, verify_suite, weyl_involution,
 )
+from weylpath import vanishing
 from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
 from weylpath.rootsystem import eps_from_root_coords
 from weylpath.vanishing import _astar, _estimator_bounds, _search_data, allowed_root_indices
@@ -102,6 +103,35 @@ def test_cold_verify_computes_longest_words_once(monkeypatch):
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 2, (family, counts)
     clear_caches()
+
+
+def test_cold_suite_raises_each_fundamental_weight_once(monkeypatch):
+    # -w0(omega_d) depends on the system and d only, so a cold suite must
+    # raise -omega_d over all of W once per distinct (system, d) pair,
+    # however many parabolics share it.
+    pairs, raises = set(), []
+    target_cached, make_canon = vanishing._target_cached, vanishing._make_canon
+
+    def recording(rst, parab, d):
+        pairs.add((rst, d))
+        return target_cached(rst, parab, d)
+
+    def counting(cols, indices):
+        canon = make_canon(cols, indices)
+        if sorted(indices) != list(range(len(cols))):
+            return canon
+
+        def raising(chi, v):
+            raises.append(chi)
+            return canon(chi, v)
+
+        return raising
+
+    clear_caches()
+    monkeypatch.setattr(vanishing, "_target_cached", recording)
+    monkeypatch.setattr(vanishing, "_make_canon", counting)
+    verify_suite(8)
+    assert pairs and len(raises) == len(pairs)
 
 
 # -- path oracle ------------------------------------------------------------
@@ -210,6 +240,54 @@ def test_chain_of_bounds():
                 assert ca <= lat
 
 
+# Every (configuration, d) with lattice < order among the maximal
+# parabolics of A1-A8, B2-B8, C2-C8, D3-D8, E6, E7, F4 and G2, as
+# (label, p) -> {d: (lattice, order)}; every other cell has lattice == order.
+LATTICE_BELOW_ORDER = {
+    ("B4", 3): {3: (3, 4)},
+    ("B5", 3): {3: (3, 4), 4: (3, 4)},
+    ("B6", 3): {3: (3, 4), 4: (3, 4), 5: (3, 4)},
+    ("B6", 5): {5: (5, 6)},
+    ("B7", 3): {3: (3, 4), 4: (3, 4), 5: (3, 4), 6: (3, 4)},
+    ("B7", 5): {5: (5, 6), 6: (5, 6)},
+    ("B8", 3): {3: (3, 4), 4: (3, 4), 5: (3, 4), 6: (3, 4), 7: (3, 4)},
+    ("B8", 5): {5: (5, 6), 6: (5, 6), 7: (5, 6)},
+    ("B8", 7): {7: (7, 8)},
+    ("D5", 3): {3: (3, 4)},
+    ("D6", 3): {3: (3, 4), 4: (3, 4)},
+    ("D7", 3): {3: (3, 4), 4: (3, 4), 5: (3, 4)},
+    ("D7", 5): {5: (5, 6)},
+    ("D8", 3): {3: (3, 4), 4: (3, 4), 5: (3, 4), 6: (3, 4)},
+    ("D8", 5): {5: (5, 6), 6: (5, 6)},
+    ("E6", 3): {3: (3, 4), 4: (4, 5), 5: (3, 4)},
+    ("E6", 4): {3: (3, 4), 4: (4, 6), 5: (3, 4)},
+    ("E6", 5): {3: (3, 4), 4: (4, 5), 5: (3, 4)},
+    ("E7", 2): {2: (4, 5), 3: (4, 5), 4: (6, 8), 5: (5, 6), 6: (3, 4)},
+    ("E7", 3): {2: (3, 4), 3: (4, 6), 4: (6, 8), 5: (4, 6), 6: (3, 4)},
+    ("E7", 4): {2: (3, 4), 3: (4, 5), 4: (6, 8), 5: (5, 6), 6: (3, 4)},
+    ("E7", 5): {2: (3, 4), 3: (4, 5), 4: (6, 8), 5: (5, 7)},
+    ("F4", 2): {2: (4, 6), 3: (3, 4)},
+    ("F4", 3): {2: (4, 5), 3: (3, 4)},
+}
+
+
+def test_cells_with_lattice_below_order():
+    cells = {}
+    for label in TARGET_LABELS:
+        if label == "E8":
+            continue
+        rs = build(label)
+        for p in range(1, rs.rank + 1):
+            parab = P(rs.rank, p)
+            for d in range(1, rs.rank + 1):
+                lat, m = lattice_lower_bound(rs, parab, d), dijkstra_order(rs, parab, d)
+                assert lat <= m, (label, p, d)
+                if lat < m:
+                    cells.setdefault((label, p), {})[d] = (lat, m)
+    assert cells == LATTICE_BELOW_ORDER
+    assert (len(cells), sum(map(len, cells.values()))) == (24, 67)
+
+
 # -- search estimator --------------------------------------------------------
 
 @pytest.mark.parametrize("label,p", [("A5", 3), ("B5", 5), ("C5", 1), ("D6", 3),
@@ -219,7 +297,8 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
     # The forward probes behind shortest_path are exact only for a
     # consistent estimator: h(v) <= 1 + h(v - beta) for every usable beta,
     # and h(u) <= r + h(child) on every step of the orbit searches, whose
-    # children are canonicalized.
+    # children are canonicalized.  The lattice search's slack filter may
+    # drop only children that cannot fit the slack.
     rng = random.Random(f"{label}/{p}/{relaxed}")
     rs = build(label)
     parab = P(rs.rank, p)
@@ -255,6 +334,14 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                     h2 = estimate(w2)
                     if h2 is not None:
                         assert hu <= r + h2, (d, u, child)
+            # Under a slack, unit subtraction keeps exactly the children
+            # the bound could still take and returns nothing new.
+            u, w = canon(fund, v)
+            full = search.subtract(u, w)
+            for slack in range(1, estimate(w) + 3):
+                got = search.subtract(u, w, slack)
+                assert set(got) <= set(full), (d, u, slack)
+                assert {e for e in full if 1 + estimate(e[2]) <= slack} <= set(got), (d, u, slack)
         assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
 
 

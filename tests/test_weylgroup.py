@@ -170,6 +170,20 @@ def test_minuscule_classification():
         assert minuscule_indices(rs) == want, label
 
 
+SCAN_LABELS = ([f"A{n}" for n in range(1, 21)] + [f"B{n}" for n in range(2, 21)]
+               + [f"C{n}" for n in range(2, 21)] + [f"D{n}" for n in range(3, 21)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", SCAN_LABELS)
+def test_minuscule_indices_match_scan_over_every_coroot(label):
+    # The highest coroot dominates every coroot, so reading it alone gives
+    # the same answer as the scan over every stored coroot.
+    rs = build(label)
+    want = [d for d in range(1, rs.rank + 1) if max(cv[d - 1] for cv in rs._coroots) <= 1]
+    assert minuscule_indices(rs) == want
+
+
 def test_cominuscule_classification():
     assert cominuscule_indices(build("A6")) == [1, 2, 3, 4, 5, 6]
     assert cominuscule_indices(build("B5")) == [1]
