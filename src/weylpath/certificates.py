@@ -331,7 +331,11 @@ def certificate_from_dict(data: dict) -> Certificate:
                 raise ValueError(f"{what} {index} not in 1..{rank}")
         entries = []
         for e in data["entries"]:
-            coords = tuple(_plain_int(x, "root coordinate") for x in e["root_coords"])
+            coords = tuple(e["root_coords"])
+            # One pass over the types; the loop only names the first offender.
+            if not {*map(type, coords)} <= {int}:
+                for x in coords:
+                    _plain_int(x, "root coordinate")
             if len(coords) != rank:
                 raise ValueError(f"root_coords {list(coords)} has length {len(coords)}, rank is {rank}")
             entries.append((coords, _plain_int(e["multiplicity"], "multiplicity")))

@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, NamedTuple, Optional
 
 from .rootsystem import (
@@ -579,12 +579,52 @@ def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> Opt
     Defined on the catalog's coverage, every cominuscule parabolic except
     the odd quadric B_n/P1, and also on B_n/P1 and on every parabolic of
     type C; ``None`` elsewhere (for instance the odd orthogonal spin
-    configurations, where every bound of this shape is too weak).
+    configurations, where every bound of this shape is too weak).  The
+    value comes from the cached record :func:`check_certificate` reads,
+    which is built from the target weight alone.
     """
     rs._check_index(d)
-    tw = target_weight(rs, parabolic, d)
-    alpha = distinguished_index(rs, parabolic, d)
-    return None if alpha is None else tw.root_coords[alpha - 1]
+    rs._check_parabolic(parabolic)
+    if len(parabolic.omitted) != 1:
+        return None
+    return _config(rs.rst, parabolic.omitted_index, d).c_alpha
+
+
+class _Config(NamedTuple):
+    """What a certificate at one (system, maximal parabolic, d) is checked
+    against, all of it read off the target weight."""
+
+    parab: Parabolic
+    target: Root        # target weight in root coordinates
+    source: Weight      # chi0 = target - omega_d, in fundamental coordinates
+    sink: Weight        # -omega_d
+    c_alpha: Optional[int]
+
+
+@lru_cache(maxsize=None)
+def _maximal_at(rank: int, i: int):
+    """The maximal parabolic omitting i, and -omega_i: one copy of each
+    for all the records of a rank, which keeps the records small."""
+    return Parabolic.maximal(rank, i), tuple(-int(j == i - 1) for j in range(rank))
+
+
+@lru_cache(maxsize=None)
+def _config(rst: RootSystemType, omitted: int, d: int) -> _Config:
+    # Only the target goes in: the path and lattice oracles stay separate
+    # calls, so the routes that clause (d) compares remain independent.
+    rs = build(rst)
+    parab = _maximal_at(rst.rank, omitted)[0]
+    rs._check_index(d)
+    tw = _target_cached(rst, parab, d)
+    sink = _maximal_at(rst.rank, d)[1]
+    alpha = distinguished_index(rs, parab, d)
+    return _Config(
+        parab=parab,
+        target=tw.root_coords,
+        source=tuple(map(add, tw.value, sink)),
+        sink=sink,
+        c_alpha=None if alpha is None else tw.root_coords[alpha - 1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,75 +643,86 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     realizability actually needs; (d) the total cost equals the path
     oracle and the distinguished coefficient where defined.  Membership
     preconditions (positive roots outside the Levi at d) are reported
-    separately.
+    separately.  Clause (b) compares each unordered pair of distinct
+    roots once, in order of first appearance, so a root repeated in the
+    entries adds no pairs.
+
+    Target, source, sink and c_alpha come from one cached record per
+    (system, parabolic, d), and the path oracle from its own cache.
     """
     if cert.rst != rs.rst:
         raise RootSystemError(f"certificate is for {cert.rst}, root system is {rs.rst}")
-    parab = cert.parabolic
+    rec = _config(cert.rst, cert.omitted, cert.d)
     d = cert.d
+    entries = cert.entries
+    coroots, funds = rs._coroots, rs._fund_coords
     failures = []
 
     roots_ok = True
     outside = True
-    for c, n in cert.entries:
+    ks = []
+    for c, n in entries:
         if n < 1:
             roots_ok = False
             failures.append(f"multiplicity {n} < 1 for {c}")
-        if not rs.is_positive_root(c):
+        k = rs._root_index.get(tuple(c))
+        ks.append(k)
+        if k is None:
             roots_ok = False
             failures.append(f"{c} is not a positive root")
         elif c[d - 1] < 1:
             outside = False
             failures.append(f"{c} lies in the Levi at index {d}")
 
-    tw = target_weight(rs, parab, d)
     total = [0] * rs.rank
-    for c, n in cert.entries:
+    for c, n in entries:
         total = [t + n * x for t, x in zip(total, c)]
-    sum_matches = (tuple(total) == tw.root_coords
-                   and all(len(c) == rs.rank for c, _ in cert.entries))
+    sum_matches = (tuple(total) == rec.target
+                   and all(len(c) == rs.rank for c, _ in entries))
     if not sum_matches:
-        failures.append(f"(a) sum {tuple(total)} != target {tw.root_coords}")
+        failures.append(f"(a) sum {tuple(total)} != target {rec.target}")
 
     orthogonal = True
     ladder_uniform = ladder_sequential = roots_ok
     if roots_ok:
         # Every entry is a positive root, so its coroot and fundamental
         # coordinates come from the root system's integer table.
-        chi0 = source_weight(rs, parab, d)
-        sink = tuple(-x for x in rs.fundamental_weight(d))
-        ks = [rs._root_index[tuple(c)] for c, _ in cert.entries]
-        for i, (bi, _) in enumerate(cert.entries):
-            fi = rs._fund_coords[ks[i]]
-            for (bj, _), kj in zip(cert.entries[i + 1:], ks[i + 1:]):
-                if bi != bj and sum(map(mul, fi, rs._coroots[kj])) != 0:
+        first = {}
+        for (c, _), k in zip(entries, ks):
+            first.setdefault(k, c)
+        distinct = list(first.items())
+        for i, (ki, bi) in enumerate(distinct):
+            fi = funds[ki]
+            for kj, bj in distinct[i + 1:]:
+                if sum(map(mul, fi, coroots[kj])) != 0:
                     orthogonal = False
                     failures.append(f"(b) {bi} and {bj} are not orthogonal")
 
-        for (c, n), k in zip(cert.entries, ks):
-            r = sum(map(mul, chi0, rs._coroots[k]))
+        chi0 = rec.source
+        for (c, n), k in zip(entries, ks):
+            r = sum(map(mul, chi0, coroots[k]))
             if r != n:
                 ladder_uniform = False
                 failures.append(f"(c) <chi0, {c}^vee> = {r} != {n}")
 
         chi = chi0
-        for (c, n), k in zip(cert.entries, ks):
-            r = sum(map(mul, chi, rs._coroots[k]))
+        for (c, n), k in zip(entries, ks):
+            r = sum(map(mul, chi, coroots[k]))
             if r != n:
                 ladder_sequential = False
                 failures.append(f"sequential ladder stalls at {c}: pairing {r} != {n}")
                 break
-            chi = tuple(a - n * b for a, b in zip(chi, rs._fund_coords[k]))
+            chi = tuple(a - n * b for a, b in zip(chi, funds[k]))
         else:
-            if chi != sink:
+            if chi != rec.sink:
                 ladder_sequential = False
-                failures.append(f"sequential ladder ends at {chi}, not {sink}")
+                failures.append(f"sequential ladder ends at {chi}, not {rec.sink}")
     # The source is target - omega_d, so the order-free ladder ends at the
     # sink exactly when the entries sum to the target: clause (a).
     ladder_uniform = ladder_uniform and sum_matches
 
-    m = dijkstra_order(rs, parab, d)
-    ca = coefficient_lower_bound(rs, parab, d)
+    m = _dijkstra_cached(cert.rst, rec.parab, d, False)
+    ca = rec.c_alpha
     cost = cert.cost
     cost_matches = cost == m and (ca is None or cost == ca)
     if not cost_matches:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from weylpath import (
-    Parabolic, RootSystem, RootSystemError, build,
+    Certificate, Parabolic, RootSystem, RootSystemError, build,
     best_certificate, catalog_certificate, catalog_pair_choices,
     certificate_from_dict, certificate_to_dict, check_certificate,
     dijkstra_order, dump_certificate, epsilon_to_root, load_certificate,
@@ -11,6 +16,8 @@ from weylpath import (
 )
 from weylpath.certificates import MAX_CERTIFICATE_RANK
 from weylpath.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(rank, d):
@@ -239,3 +246,61 @@ def test_check_cert_cli_rejects_malformed(kind, tmp_path, capsys):
     assert out.err.startswith("error: malformed certificate data")
     assert out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+# The coordinate check is one pass over the value types; its message still
+# names the first value that is not a plain integer.
+BAD_COORDINATES = [True, False, 1.0, 0.5, "1", None, [1], {"x": 1}]
+
+
+@pytest.mark.parametrize("bad", BAD_COORDINATES, ids=lambda v: type(v).__name__ + repr(v))
+def test_root_coordinate_of_wrong_type_rejected(bad):
+    doc = certificate_to_dict(catalog_certificate(build("A3"), P(3, 2), 2))
+    doc["entries"][0]["root_coords"][1] = bad
+    doc["entries"][0]["root_coords"][2] = 2.5
+    with pytest.raises(RootSystemError) as exc:
+        certificate_from_dict(doc)
+    assert str(exc.value) == (
+        f"malformed certificate data: root coordinate must be an integer, got {bad!r}")
+
+
+def test_root_coordinates_of_any_integer_size_accepted():
+    doc = certificate_to_dict(catalog_certificate(build("A3"), P(3, 2), 2))
+    doc["entries"][0]["root_coords"] = [10 ** 40, -(10 ** 40), 0]
+    cert = certificate_from_dict(doc)
+    assert cert.entries[0][0] == (10 ** 40, -(10 ** 40), 0)
+    rep = check_certificate(build("A3"), cert)
+    assert not rep.roots_ok and not rep.valid
+
+
+def test_repeated_non_orthogonal_pair_reported_once():
+    rs = build("A2")
+    a1, a2 = rs.simple_root(1), rs.simple_root(2)
+    cert = Certificate(rst=rs.rst, omitted=1, d=1, entries=((a1, 1), (a2, 1), (a1, 1), (a2, 1)))
+    rep = check_certificate(rs, cert)
+    assert not rep.orthogonal
+    assert [f for f in rep.failures if f.startswith("(b)")] == [
+        f"(b) {a1} and {a2} are not orthogonal"]
+
+
+def test_check_cert_cli_time_is_linear_in_entries(tmp_path):
+    # 100 000 entries cycling through the four A3 roots outside the Levi
+    # at d = 2: clause (b) compares four distinct roots, not 5e9 pairs.
+    rs = build("A3")
+    roots = [list(c) for c in rs.positive_roots if c[1]]
+    doc = {"family": "A", "rank": 3, "parabolic_omitted_index": 2, "d": 2,
+           "entries": [{"root_coords": roots[k % 4], "multiplicity": 1}
+                       for k in range(100_000)]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylpath.cli", "check-cert", str(path), "--format", "json"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["valid"] is False and payload["cost"] == 100_000
+    assert elapsed < 2.0, elapsed

@@ -486,6 +486,38 @@ def test_parabolic_of_wrong_rank_rejected():
                 oracle(rs, parab, 1)
 
 
+@pytest.mark.parametrize("label", ["A3", "D5", "E6"])
+def test_hand_built_certificate_out_of_range_raises_root_system_error(label):
+    # Every entry is a positive root, so nothing but the range checks can
+    # stop the clauses from indexing with d.
+    rs = build(label)
+    n = rs.rank
+    entries = tuple((c, 1) for c in rs.positive_roots[-3:])
+    for omitted, d in ((0, 1), (n + 1, 1), (1, 0), (1, n + 1), (n + 1, n + 1)):
+        with pytest.raises(RootSystemError):
+            check_certificate(rs, Certificate(rst=rs.rst, omitted=omitted, d=d, entries=entries))
+
+
+def test_coefficient_bound_never_runs_the_path_or_lattice_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"oracle called with {args}")
+
+    want = {}
+    for label in ("A5", "C4", "D5", "E6", "E7", "B4", "F4"):
+        rs = build(label)
+        for p in range(1, rs.rank + 1):
+            for d in range(1, rs.rank + 1):
+                alpha = vanishing.distinguished_index(rs, P(rs.rank, p), d)
+                tw = target_weight(rs, P(rs.rank, p), d)
+                want[label, p, d] = None if alpha is None else tw.root_coords[alpha - 1]
+    clear_caches()
+    monkeypatch.setattr(vanishing, "_dijkstra_cached", refuse)
+    monkeypatch.setattr(vanishing, "_lattice_cached", refuse)
+    for (label, p, d), value in want.items():
+        rs = build(label)
+        assert coefficient_lower_bound(rs, P(rs.rank, p), d) == value
+
+
 # -- certificates -------------------------------------------------------------
 
 def test_e6_case_one_pair_passes_all_clauses():
@@ -586,9 +618,11 @@ def _reference_check(rs, cert):
         failures.append(f"(a) sum {total} != target {tw.root_coords}")
     orthogonal = True
     if roots_ok:
-        for i, (bi, _) in enumerate(cert.entries):
-            for bj, _ in cert.entries[i + 1:]:
-                if bi != bj and rs.pairing(rs.from_root_basis(bi), bj) != 0:
+        # each unordered pair of distinct roots once, in first-appearance order
+        distinct = list(dict.fromkeys(bi for bi, _ in cert.entries))
+        for i, bi in enumerate(distinct):
+            for bj in distinct[i + 1:]:
+                if rs.pairing(rs.from_root_basis(bi), bj) != 0:
                     orthogonal = False
                     failures.append(f"(b) {bi} and {bj} are not orthogonal")
     chi0 = source_weight(rs, parab, d)
