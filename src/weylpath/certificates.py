@@ -352,4 +352,8 @@ def dump_certificate(cert: Certificate, path) -> None:
 
 def load_certificate(path) -> Certificate:
     with open(path) as fh:
-        return certificate_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise RootSystemError("malformed certificate data: nesting too deep") from exc
+    return certificate_from_dict(data)

@@ -105,7 +105,12 @@ class Parabolic:
     omitted: frozenset
 
     def __post_init__(self):
-        om = frozenset(int(j) for j in self.omitted)
+        # type() rather than isinstance(): True must not pass as index 1.
+        if type(self.rank) is not int or any(type(j) is not int for j in self.omitted):
+            raise RootSystemError(
+                f"parabolic rank {self.rank!r} and omitted indices {tuple(self.omitted)!r} "
+                "must be plain integers")
+        om = frozenset(self.omitted)
         object.__setattr__(self, "omitted", om)
         if not om <= set(range(1, self.rank + 1)):
             raise RootSystemError(f"omitted indices {sorted(om)} out of range 1..{self.rank}")
@@ -401,6 +406,8 @@ class RootSystem:
         return tuple(w - r * f for w, f in zip(weight, fund))
 
     def _check_index(self, i: int):
+        if type(i) is not int:
+            raise RootSystemError(f"simple index {i!r} must be a plain integer")
         if not 1 <= i <= self.rank:
             raise RootSystemError(f"simple index {i} out of range 1..{self.rank}")
 
@@ -419,15 +426,6 @@ class RootSystem:
 # ---------------------------------------------------------------------------
 # classical epsilon coordinates (Bourbaki realizations of A, B, C, D)
 # ---------------------------------------------------------------------------
-
-def eps_dimension(rst: RootSystemType) -> int:
-    """Length of the epsilon-coordinate vector for a classical family."""
-    if rst.family == "A":
-        return rst.rank + 1
-    if rst.family in ("B", "C", "D"):
-        return rst.rank
-    raise RootSystemError(f"{rst} has no epsilon realization here")
-
 
 def eps_from_root_coords(rst: RootSystemType, coords: Sequence) -> tuple:
     """Epsilon coordinates of an element of the root lattice.

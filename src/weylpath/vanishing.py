@@ -31,13 +31,13 @@ of an orbit (see :func:`_search_data`).  The witness walk in
 probes run on orbits.  Relaxed searches step along Levi roots too, which
 W_L does not permute, so they are not quotiented.
 
-A state's candidate roots come from bitsets over the positive roots,
-built once per system (:func:`_reflection_tables`): the usable set at d,
-minus the roots its stabilizer moves, and for the lattice bound minus
-the roots that do not fit under the residual.  The lattice search runs
-under a bound widened one at a time from its estimate, which is usually
-already exact, and under it each state also drops the roots whose child
-cannot meet the bound (:func:`_make_moves`).
+Every search is one bounded A* (:func:`_astar`), which asks a state for
+its children with the slack left under the bound: the path order runs
+under its start residual's height, and the lattice search under a bound
+widened from its estimate up to that height.  Candidate roots come from
+per-system bitsets (:func:`_reflection_tables`): the usable set at d,
+minus the roots the stabilizer moves, minus those that do not fit under
+the residual, then cut to the slack (:func:`_make_moves`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ from .weylgroup import cominuscule_indices
 
 class InternalInconsistencyError(RuntimeError):
     """A structural identity failed; indicates a convention bug, never expected."""
+
+
+# Non-orthogonal pairs clause (b) lists before it stops; a document can hold millions.
+MAX_PAIR_FAILURES = 64
 
 
 @dataclass(frozen=True)
@@ -263,21 +267,21 @@ def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple
 # shortest extremal-weight paths, one W_L-orbit at a time
 # ---------------------------------------------------------------------------
 
-def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
-    """Cost of a cheapest walk from ``start`` that clears the residual ``v0``.
+def _astar(start, v0, successors, estimate, bound) -> Optional[int]:
+    """Cost of a cheapest walk from ``start`` that clears the residual ``v0``,
+    or ``None`` if none fits in ``bound``.
 
-    ``successors(state, v)`` yields ``(cost, child, v2)``; under a
-    ``bound`` it is called as ``successors(state, v, bound - g)`` and may
-    leave out children whose cost plus estimate cannot fit that slack.
-    Children whose residual goes negative or whose cost-plus-estimate
-    exceeds ``bound`` are dropped.  The estimator is consistent, so each
-    state is settled once at its exact distance and the first state
-    popped with a zero residual ends the search.  Equal estimates pop
+    ``successors(state, v, slack)`` yields ``(cost, child, v2)`` and may
+    leave out children whose cost plus estimate cannot fit the slack
+    ``bound - g``.  Children whose residual goes negative or whose
+    cost-plus-estimate exceeds ``bound`` are dropped.  The estimator is
+    consistent, so each state is settled once at its exact distance, the
+    first state popped with a zero residual ends the search, and any bound
+    at or above the answer gives the same answer.  Equal estimates pop
     deepest first, which walks straight down the tight-estimate corridor.
-    Returns ``None`` if nothing fits in ``bound``.
     """
     h0 = estimate(v0)
-    if bound is not None and h0 > bound:
+    if h0 > bound:
         return None
     heap = [(h0, 0, start, v0)]
     settled = set()
@@ -289,12 +293,11 @@ def _astar(start, v0, successors, estimate, bound=None) -> Optional[int]:
             return -negg
         settled.add(state)
         g = -negg
-        moves = successors(state, v) if bound is None else successors(state, v, bound - g)
-        for r, child, v2 in moves:
+        for r, child, v2 in successors(state, v, bound - g):
             if min(v2) < 0 or child in settled:
                 continue
             h = estimate(v2)
-            if bound is not None and g + r + h > bound:
+            if g + r + h > bound:
                 continue
             heapq.heappush(heap, (g + r + h, -(g + r), child, v2))
     return None
@@ -308,38 +311,37 @@ def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
     """Successors ``(cost, child, v2)`` of a Levi-dominant state.
 
     ``usable`` is the bitset of usable roots (see :func:`_reflection_tables`).
-    A ladder step costs r = <chi, beta^vee> >= 1 and subtracts r*beta;
-    otherwise a step costs 1 and subtracts beta.  The stabilizer of chi is
-    generated by the s_i, i in ``levi``, with chi_i = 0, and of each of its
-    orbits on the usable roots only the member outside every such
-    ``blocked[i]`` is stepped along.  A unit step also keeps only the roots
-    that fit under v, and under a ``slack`` only those whose child can
-    still meet it: canonicalizing only raises v, so the child's estimate
-    is at least max_j ceil((v_j - beta_j) / theta_j), and a root with
-    beta_j < v_j - (slack - 1)*theta_j has 1 + h(child) > slack.  The
-    remaining roots are stepped along from low to high index, children
-    are canonicalized and the cheapest step to each is kept.  With
-    ``levi`` empty and ``canon`` the identity these are the plain steps
-    between single states.
+    A ladder step costs r = <chi, beta^vee> in 1..``slack`` and subtracts
+    r*beta; its residual stays nonnegative, as every ladder state lies in
+    the W-orbit of the antidominant -omega_d and so above it.  A unit step
+    costs 1 and subtracts beta.  Both keep only the usable roots that fit
+    under v, and of each orbit of the stabilizer of chi, generated by the
+    s_i, i in ``levi``, with chi_i = 0, only the member outside every such
+    ``blocked[i]``.  A unit step also keeps only roots whose child can
+    still meet the slack: canonicalizing only raises v, so the child's
+    estimate is at least max_j ceil((v_j - beta_j) / theta_j), and a root
+    with beta_j < v_j - (slack - 1)*theta_j has 1 + h(child) > slack.
+    Children are canonicalized and the cheapest step to each is kept.
+    With ``levi`` empty and ``canon`` the identity these are the plain
+    steps between single states.
     """
     _, blocked, atleast = _reflection_tables(rs.rst)
     coroots, funds, roots = rs._coroots, rs._fund_coords, rs.positive_roots
     theta = roots[-1]
     tops = tuple(t + 1 for t in theta)  # atleast[j][tops[j]] is empty
 
-    def successors(chi, v, slack=None):
+    def successors(chi, v, slack):
         mask = usable
         for i in levi:
             if not chi[i]:
                 mask &= ~blocked[i]
-        if not ladder:
-            for j, vj in enumerate(v):
-                if vj < tops[j]:
-                    mask &= ~atleast[j][vj + 1]
-                if slack is not None:
-                    t = vj - (slack - 1) * theta[j]
-                    if t > 0:
-                        mask &= atleast[j][min(t, tops[j])]
+        for j, vj in enumerate(v):
+            if vj < tops[j]:
+                mask &= ~atleast[j][vj + 1]
+            if not ladder:
+                t = vj - (slack - 1) * theta[j]
+                if t > 0:
+                    mask &= atleast[j][min(t, tops[j])]
         best = {}
         while mask:
             low = mask & -mask
@@ -347,12 +349,10 @@ def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
             k = low.bit_length() - 1
             if ladder:
                 r = sum(map(mul, chi, coroots[k]))
-                if r < 1:
+                if not 0 < r <= slack:
                     continue
-                v2 = tuple(a - r * b for a, b in zip(v, roots[k]))
-                if min(v2) < 0:
-                    continue
-                child, v2 = canon(tuple(a - r * b for a, b in zip(chi, funds[k])), v2)
+                child, v2 = canon(tuple(a - r * b for a, b in zip(chi, funds[k])),
+                                  tuple(a - r * b for a, b in zip(v, roots[k])))
             else:
                 r = 1
                 child, v2 = canon(tuple(map(sub, chi, funds[k])), tuple(map(sub, v, roots[k])))
@@ -464,9 +464,12 @@ def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: boo
     search = _search_data(rst, d, relaxed)
     source = source_weight(build(rst), parab, d)
     start = search.canon(source, _target_cached(rst, parab, d).root_coords)
-    m = _astar(*start, search.ladder, search.estimate)
+    # Each step of cost r subtracts r*beta with ht(beta) >= 1, so m is at
+    # most the start residual's height: a ceiling that leaves m unchanged.
+    m = _astar(*start, search.ladder, search.estimate, sum(start[1]))
     if m is None:
-        raise InternalInconsistencyError(f"{rst} d={d}: sink unreachable from {source}")
+        raise InternalInconsistencyError(
+            f"{rst} P={sorted(parab.omitted)} d={d}: path order: no path within ceiling {sum(start[1])}")
     return m
 
 
@@ -501,7 +504,7 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
     steps = []
     missed = set()  # (orbit, budget) probes that found nothing
     while any(v):
-        for r, child, v2 in sorted(search.walk(cur, v), key=lambda e: e[1]):
+        for r, child, v2 in sorted(search.walk(cur, v, left), key=lambda e: e[1]):
             start = search.canon(child, v2)
             if (start[0], left - r) in missed:
                 continue
@@ -521,14 +524,14 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> Optional[int]:
+def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
     # Shortest path in the lattice-point DAG: states are the nonnegative
     # residuals below the target, each edge subtracts one usable root at
     # unit cost.  Exact by exhaustion; no ladder constraint.  The target's
     # weight is its residual's weight, the lattice state's chi.  The bound
     # widens from the start's estimate, which is usually already exact, so
     # each expansion generates only the children that can still meet it;
-    # no decomposition has more summands than the start residual's height.
+    # the cheapest ladder is a decomposition into m <= ht(v0) usable roots.
     search = _search_data(rst, d, relaxed)
     tw = _target_cached(rst, parab, d)
     start, v0 = search.canon(tw.value, tw.root_coords)
@@ -536,16 +539,16 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool
         m = _astar(start, v0, search.subtract, search.estimate, bound)
         if m is not None:
             return m
-    return None
+    raise InternalInconsistencyError(
+        f"{rst} P={sorted(parab.omitted)} d={d}: lattice: no decomposition within ceiling {sum(v0)}")
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
-                        relaxed: bool = False) -> Optional[int]:
-    """Exact min of sum(n_j) over decompositions of the target, or None.
+                        relaxed: bool = False) -> int:
+    """Exact min of sum(n_j) over decompositions of the target.
 
     This enumeration knows nothing about extremal-weight ladders and
-    serves as the independent brute-force oracle; ``None`` means no
-    decomposition exists at all (never expected for these targets).
+    serves as the independent brute-force oracle.
     """
     rs._check_index(d)
     return _lattice_cached(rs.rst, parabolic, d, bool(relaxed))
@@ -645,7 +648,8 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     preconditions (positive roots outside the Levi at d) are reported
     separately.  Clause (b) compares each unordered pair of distinct
     roots once, in order of first appearance, so a root repeated in the
-    entries adds no pairs.
+    entries adds no pairs; it lists at most :data:`MAX_PAIR_FAILURES`
+    non-orthogonal pairs, then one line saying the list was cut.
 
     Target, source, sink and c_alpha come from one cached record per
     (system, parabolic, d), and the path oracle from its own cache.
@@ -691,12 +695,14 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
         for (c, _), k in zip(entries, ks):
             first.setdefault(k, c)
         distinct = list(first.items())
-        for i, (ki, bi) in enumerate(distinct):
-            fi = funds[ki]
-            for kj, bj in distinct[i + 1:]:
-                if sum(map(mul, fi, coroots[kj])) != 0:
-                    orthogonal = False
-                    failures.append(f"(b) {bi} and {bj} are not orthogonal")
+        bad = ((bi, bj) for i, (ki, bi) in enumerate(distinct) for kj, bj in distinct[i + 1:]
+               if sum(map(mul, funds[ki], coroots[kj])) != 0)
+        for count, (bi, bj) in enumerate(bad):
+            orthogonal = False
+            if count == MAX_PAIR_FAILURES:
+                failures.append(f"(b) list cut after {count} non-orthogonal pairs")
+                break
+            failures.append(f"(b) {bi} and {bj} are not orthogonal")
 
         chi0 = rec.source
         for (c, n), k in zip(entries, ks):
@@ -751,8 +757,6 @@ def vanishing_result(rs: RootSystem, parabolic: Parabolic, d: int,
     m = dijkstra_order(rs, parabolic, d)
     lat = lattice_lower_bound(rs, parabolic, d)
     ca = coefficient_lower_bound(rs, parabolic, d)
-    if lat is None:
-        raise InternalInconsistencyError(f"{rs.rst} d={d}: target admits no decomposition")
     if not ((ca is None or ca <= lat) and lat <= m):
         raise InternalInconsistencyError(
             f"{rs.rst} d={d}: bound chain violated: c_alpha={ca} lattice={lat} dijkstra={m}"

@@ -109,7 +109,7 @@ def verify(family, rank: int | None = None, omitted: int | None = None, *,
     if omitted is None:
         raise RootSystemError("an omitted simple index is required")
     rs._check_index(omitted)
-    return _verify_cached(rs.rst, int(omitted), bool(relaxed_edges), bool(with_witnesses))
+    return _verify_cached(rs.rst, omitted, bool(relaxed_edges), bool(with_witnesses))
 
 
 # ---------------------------------------------------------------------------

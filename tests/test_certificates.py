@@ -304,3 +304,29 @@ def test_check_cert_cli_time_is_linear_in_entries(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["valid"] is False and payload["cost"] == 100_000
     assert elapsed < 2.0, elapsed
+
+
+def test_check_cert_cli_caps_clause_b_on_every_root(tmp_path):
+    # Each of the 1600 positive roots of C40 once: over 100 000
+    # non-orthogonal pairs, of which clause (b) lists only the first
+    # MAX_PAIR_FAILURES and one line saying the list was cut.
+    from weylpath.vanishing import MAX_PAIR_FAILURES
+
+    rs = build("C40")
+    doc = {"family": "C", "rank": 40, "parabolic_omitted_index": 1, "d": 1,
+           "entries": [{"root_coords": list(c), "multiplicity": 1} for c in rs.positive_roots]}
+    path = tmp_path / "every_root.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylpath.cli", "check-cert", str(path)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    clause_b = [line for line in proc.stderr.splitlines() if line.startswith("  ! (b)")]
+    assert len(clause_b) == MAX_PAIR_FAILURES + 1
+    assert clause_b[-1] == f"  ! (b) list cut after {MAX_PAIR_FAILURES} non-orthogonal pairs"
+    assert "orthogonal: FAIL" in proc.stdout
+    assert elapsed < 2.0, elapsed

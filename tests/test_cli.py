@@ -118,3 +118,11 @@ def test_missing_file_is_error(capsys):
     code, _, err = run(capsys, "check-cert", "/nonexistent/cert.json")
     assert code == 2
     assert "error:" in err
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, "check-cert", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: malformed certificate data")

@@ -83,8 +83,8 @@ def test_integer_target_matches_rational_reference(label):
 
 
 def test_cold_verify_computes_longest_words_once(monkeypatch):
-    # w0 and tau depend on the system and the parabolic only, so a cold
-    # verify must not compute them again for every d.
+    # The target comes from the W- and Levi-dominant points of -omega_d
+    # (the canonicalizer), so a cold verify computes no longest word at all.
     calls = []
 
     def counting(*args, **kwargs):
@@ -101,7 +101,7 @@ def test_cold_verify_computes_longest_words_once(monkeypatch):
             calls.clear()
             verify(family, n, omitted=n, with_witnesses=True)
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2, (family, counts)
+        assert counts == [0, 0], (family, counts)
     clear_caches()
 
 
@@ -235,7 +235,7 @@ def test_chain_of_bounds():
             m = dijkstra_order(rs, parab, d)
             lat = lattice_lower_bound(rs, parab, d)
             ca = coefficient_lower_bound(rs, parab, d)
-            assert lat is not None and lat <= m
+            assert lat <= m
             if ca is not None:
                 assert ca <= lat
 
@@ -329,7 +329,7 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                 u, w = canon(*state)
                 hu = estimate(w)
                 assert min(w) >= 0 and hu is not None and hu >= estimate(v)
-                for r, child, w2 in moves(u, w):
+                for r, child, w2 in moves(u, w, sum(w)):
                     assert canon(child, w2) == (child, w2)
                     h2 = estimate(w2)
                     if h2 is not None:
@@ -337,12 +337,52 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
             # Under a slack, unit subtraction keeps exactly the children
             # the bound could still take and returns nothing new.
             u, w = canon(fund, v)
-            full = search.subtract(u, w)
+            full = search.subtract(u, w, sum(w))
             for slack in range(1, estimate(w) + 3):
                 got = search.subtract(u, w, slack)
                 assert set(got) <= set(full), (d, u, slack)
                 assert {e for e in full if 1 + estimate(e[2]) <= slack} <= set(got), (d, u, slack)
+        # Random walks of plain ladder steps from the source meet only
+        # states in the W-orbit of the antidominant -omega_d, whose
+        # residuals lie above it.  There every usable root with r >= 1 fits
+        # under the residual, so no ladder child goes negative, and the
+        # masked ladder returns exactly the plain ladder's cheapest children.
+        for _ in range(12):
+            chi, v = source_weight(rs, parab, d), T
+            while any(v):
+                u, w = canon(chi, v)
+                plain, steps = {}, []
+                for beta in rootcos:
+                    r = rs.pairing(u, beta)
+                    if r < 1:
+                        continue
+                    w2 = tuple(a - r * b for a, b in zip(w, beta))
+                    assert min(w2) >= 0, (d, u, beta)
+                    child, w2 = canon(rs.reflect_by_root(beta, u), w2)
+                    if child not in plain or r < plain[child][0]:
+                        plain[child] = (r, w2)
+                    steps.append((r, beta))
+                got = search.ladder(u, w, sum(w))
+                assert sorted(got) == sorted((r, c, w2) for c, (r, w2) in plain.items()), (d, u)
+                r, beta = rng.choice(steps)
+                chi, v = rs.reflect_by_root(beta, u), tuple(a - r * b for a, b in zip(w, beta))
         assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
+
+
+def test_order_is_at_most_the_start_residual_height():
+    # Each ladder step of cost r subtracts r*beta with ht(beta) >= 1, so
+    # m never exceeds the height of the residual it starts from, which is
+    # the ceiling the order search runs under.
+    for label in TARGET_LABELS:
+        if label == "E8":
+            continue
+        rs = build(label)
+        for p in range(1, rs.rank + 1):
+            parab = P(rs.rank, p)
+            for d in range(1, rs.rank + 1):
+                T = target_weight(rs, parab, d).root_coords
+                start = _search_data(rs.rst, d, False).canon(source_weight(rs, parab, d), T)
+                assert dijkstra_order(rs, parab, d) <= sum(T) <= sum(start[1]), (label, p, d)
 
 
 ESTIMATOR_LABELS = (
@@ -375,22 +415,22 @@ def _plain_orders(rs, parab, d, relaxed):
     edges = [(rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k])
              for k in allowed_root_indices(rs, d, relaxed)]
 
-    def ladder(chi, v):
+    def ladder(chi, v, _):
         for cv, fk, rc in edges:
             r = sum(a * b for a, b in zip(chi, cv))
             if r >= 1:
                 yield (r, tuple(a - r * b for a, b in zip(chi, fk)),
                        tuple(a - r * b for a, b in zip(v, rc)))
 
-    def subtract(v, _):
+    def subtract(v, _, __):
         for _, _, rc in edges:
             v2 = tuple(a - b for a, b in zip(v, rc))
             yield 1, v2, v2
 
     estimate = _search_data(rs.rst, d, relaxed).estimate
     T = target_weight(rs, parab, d).root_coords
-    return (_astar(source_weight(rs, parab, d), T, ladder, estimate),
-            _astar(T, T, subtract, estimate))
+    return (_astar(source_weight(rs, parab, d), T, ladder, estimate, sum(T)),
+            _astar(T, T, subtract, estimate, sum(T)))
 
 
 EQUIVALENCE_CONFIGS = [(label, p) for label in TARGET_LABELS if label != "E8"
@@ -484,6 +524,19 @@ def test_parabolic_of_wrong_rank_rejected():
                        coefficient_lower_bound, shortest_path):
             with pytest.raises(RootSystemError):
                 oracle(rs, parab, 1)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None])
+def test_non_integer_indices_rejected(bad):
+    # A float index must not be truncated, nor True read as index 1.
+    rs = build("A3")
+    with pytest.raises(RootSystemError):
+        verify("A", 3, omitted=bad)
+    with pytest.raises(RootSystemError):
+        P(3, bad)
+    for oracle in (dijkstra_order, lattice_lower_bound, target_weight):
+        with pytest.raises(RootSystemError):
+            oracle(rs, P(3, 1), bad)
 
 
 @pytest.mark.parametrize("label", ["A3", "D5", "E6"])
