@@ -72,9 +72,10 @@ class RootSystemType:
         if self.family not in _RANK_BOUNDS:
             raise RootSystemError(f"unknown family {self.family!r}")
         lo, hi = _RANK_BOUNDS[self.family]
-        if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
+        # type() rather than isinstance(): True must not pass as rank 1.
+        if type(self.rank) is not int or self.rank < lo or (hi is not None and self.rank > hi):
             raise RootSystemError(
-                f"rank {self.rank} out of range for family {self.family} "
+                f"rank {self.rank!r} out of range for family {self.family} "
                 f"(allowed: {lo}..{hi if hi is not None else 'inf'})"
             )
 
@@ -500,7 +501,7 @@ def build(family, rank: int | None = None) -> RootSystem:
         return _build_cached(RootSystemType.parse(text))
     if len(text) > 1:
         rst = RootSystemType.parse(text)
-        if rst.rank != int(rank):
+        if rst != RootSystemType(rst.family, rank):
             raise RootSystemError(f"label {text} disagrees with rank {rank}")
         return _build_cached(rst)
-    return _build_cached(RootSystemType(text, int(rank)))
+    return _build_cached(RootSystemType(text, rank))

@@ -27,17 +27,18 @@ at d, generated by the s_i with i != d.  W_L permutes the usable roots,
 fixes omega_d and keeps every pairing <chi, beta^vee>, so both distances
 are W_L-invariant and each search settles only the Levi-dominant point
 of an orbit (see :func:`_search_data`).  The witness walk in
-:func:`shortest_path` still follows single weights; only its bounded
-probes run on orbits.  Relaxed searches step along Levi roots too, which
-W_L does not permute, so they are not quotiented.
+:func:`shortest_path` follows single weights and records its failures
+by orbit.  Relaxed searches step along Levi roots too, which W_L does
+not permute, so they are not quotiented.
 
-Every search is one bounded A* (:func:`_astar`), which asks a state for
-its children with the slack left under the bound: the path order runs
-under its start residual's height, and the lattice search under a bound
-widened from its estimate up to that height.  Candidate roots come from
-per-system bitsets (:func:`_reflection_tables`): the usable set at d,
-minus the roots the stabilizer moves, minus those that do not fit under
-the residual, then cut to the slack (:func:`_make_moves`).
+Every search asks a state for its children with the slack left under a
+bound: the path order (one bounded A*, :func:`_astar`) runs under its
+start residual's height, the lattice search (the same A*) under a bound
+widened from its estimate up to that height, and the witness walk
+depth-first under the path order.  Candidate roots come from per-system
+bitsets (:func:`_reflection_tables`): the usable set at d, minus the
+roots the stabilizer moves, minus those that do not fit under the
+residual, then cut to the slack (:func:`_make_moves`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ class InternalInconsistencyError(RuntimeError):
     """A structural identity failed; indicates a convention bug, never expected."""
 
 
-# Non-orthogonal pairs clause (b) lists before it stops; a document can hold millions.
+# Failure lines one clause lists before it stops: clause (b)'s non-orthogonal
+# pairs, and the entries that fail (c) or a membership check; a document can
+# hold millions.
 MAX_PAIR_FAILURES = 64
 
 
@@ -279,6 +282,7 @@ def _astar(start, v0, successors, estimate, bound) -> Optional[int]:
     first state popped with a zero residual ends the search, and any bound
     at or above the answer gives the same answer.  Equal estimates pop
     deepest first, which walks straight down the tight-estimate corridor.
+    It serves the path order and the lattice bound, not the witness walk.
     """
     h0 = estimate(v0)
     if h0 > bound:
@@ -483,40 +487,39 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
     """One canonical cheapest path as ``(cost, steps, nodes)``.
 
     ``steps`` is a tuple of ``(root_coords, r)``; ``nodes`` the visited
-    weights from source to sink.  The path is walked greedily from the
-    source: at each step the successors are tried in lexicographic order
-    of their weight, and the first one whose exact distance to the sink,
-    probed by an A* bounded by the budget left, equals that budget is
-    taken.  So ties go to the lexicographically smallest successor
-    weight and the witness is reproducible run to run.  The walk follows
-    single weights; each probe starts from its child's Levi-dominant
-    point and searches orbits, and a probe that found nothing is not
-    repeated for the same orbit and budget.
+    weights from source to sink.  It is one depth-first walk on single
+    weights under the budget m: successors go in lexicographic order,
+    skipping any whose orbit's estimate exceeds the budget left or whose
+    orbit already failed with at least that budget.  Steps lower the
+    residual's height, the estimator is admissible and distances are
+    W_L-invariant, so the first path to reach the sink is the
+    lexicographically first cheapest one, reproducible run to run.
     """
     rs._check_index(d)
-    relaxed = bool(relaxed)
-    m = _dijkstra_cached(rs.rst, parabolic, d, relaxed)
-    search = _search_data(rs.rst, d, relaxed)
-    cur = source_weight(rs, parabolic, d)
-    v = _target_cached(rs.rst, parabolic, d).root_coords
-    left = m
-    nodes = [cur]
-    steps = []
-    missed = set()  # (orbit, budget) probes that found nothing
-    while any(v):
-        for r, child, v2 in sorted(search.walk(cur, v, left), key=lambda e: e[1]):
-            start = search.canon(child, v2)
-            if (start[0], left - r) in missed:
-                continue
-            if _astar(*start, search.ladder, search.estimate, left - r) == left - r:
+    m = _dijkstra_cached(rs.rst, parabolic, d, bool(relaxed))
+    search = _search_data(rs.rst, d, bool(relaxed))
+
+    def node(chi, v, left):
+        return chi, v, left, iter(sorted(search.walk(chi, v, left), key=lambda e: e[1]))
+
+    stack = [node(source_weight(rs, parabolic, d), _target_cached(rs.rst, parabolic, d).root_coords, m)]
+    failed = {}  # orbit -> largest budget it is known not to fit
+    while any(stack[-1][1]):
+        chi, v, left, todo = stack[-1]
+        for r, child, v2 in todo:
+            orbit, w = search.canon(child, v2)
+            if r + search.estimate(w) <= left and failed.get(orbit, -1) < left - r:
+                stack.append(node(child, v2, left - r))
                 break
-            missed.add((start[0], left - r))
         else:
-            raise InternalInconsistencyError("witness walk lost the path")
-        steps.append((tuple((a - b) // r for a, b in zip(v, v2)), r))
-        cur, v, left = child, v2, left - r
-        nodes.append(cur)
-    return m, tuple(steps), tuple(nodes)
+            failed[search.canon(chi, v)[0]] = left
+            stack.pop()
+            if not stack:
+                raise InternalInconsistencyError(
+                    f"{rs.rst} P={sorted(parabolic.omitted)} d={d}: witness: no path within budget {m}")
+    steps = tuple((tuple((a - b) // (g - h) for a, b in zip(v, v2)), g - h)
+                  for (_, v, g, _), (_, v2, h, _) in zip(stack, stack[1:]))
+    return m, steps, tuple(f[0] for f in stack)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +652,8 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     separately.  Clause (b) compares each unordered pair of distinct
     roots once, in order of first appearance, so a root repeated in the
     entries adds no pairs; it lists at most :data:`MAX_PAIR_FAILURES`
-    non-orthogonal pairs, then one line saying the list was cut.
+    non-orthogonal pairs, and (c) and each membership check as many
+    failing entries, each list then one line saying it was cut.
 
     Target, source, sink and c_alpha come from one cached record per
     (system, parabolic, d), and the path oracle from its own cache.
@@ -661,6 +665,14 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     entries = cert.entries
     coroots, funds = rs._coroots, rs._fund_coords
     failures = []
+    listed = {}  # per-entry check -> entries that failed it
+
+    def fail(check, line):
+        count = listed[check] = listed.get(check, 0) + 1
+        if count <= MAX_PAIR_FAILURES:
+            failures.append(line)
+        elif count == MAX_PAIR_FAILURES + 1:
+            failures.append(f"{check} list cut after {MAX_PAIR_FAILURES} entries")
 
     roots_ok = True
     outside = True
@@ -668,15 +680,15 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     for c, n in entries:
         if n < 1:
             roots_ok = False
-            failures.append(f"multiplicity {n} < 1 for {c}")
+            fail("multiplicity < 1:", f"multiplicity {n} < 1 for {c}")
         k = rs._root_index.get(tuple(c))
         ks.append(k)
         if k is None:
             roots_ok = False
-            failures.append(f"{c} is not a positive root")
+            fail("not a positive root:", f"{c} is not a positive root")
         elif c[d - 1] < 1:
             outside = False
-            failures.append(f"{c} lies in the Levi at index {d}")
+            fail(f"in the Levi at index {d}:", f"{c} lies in the Levi at index {d}")
 
     total = [0] * rs.rank
     for c, n in entries:
@@ -709,7 +721,7 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
             r = sum(map(mul, chi0, coroots[k]))
             if r != n:
                 ladder_uniform = False
-                failures.append(f"(c) <chi0, {c}^vee> = {r} != {n}")
+                fail("(c)", f"(c) <chi0, {c}^vee> = {r} != {n}")
 
         chi = chi0
         for (c, n), k in zip(entries, ks):

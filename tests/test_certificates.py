@@ -330,3 +330,34 @@ def test_check_cert_cli_caps_clause_b_on_every_root(tmp_path):
     assert clause_b[-1] == f"  ! (b) list cut after {MAX_PAIR_FAILURES} non-orthogonal pairs"
     assert "orthogonal: FAIL" in proc.stdout
     assert elapsed < 2.0, elapsed
+
+
+def test_check_cert_caps_every_per_entry_clause(tmp_path, capsys):
+    # The 1600-root document fails clause (c) and Levi membership on 1521
+    # entries each.  Every per-entry clause prints at most
+    # MAX_PAIR_FAILURES lines, then one line saying its list was cut.
+    from weylpath.vanishing import MAX_PAIR_FAILURES
+
+    cap = MAX_PAIR_FAILURES + 1
+    checks = {"(b)": "(b)", "(c)": "(c)", "Levi": "in the Levi at index 1",
+              "positive": "not a positive root", "multiplicity": "multiplicity"}
+    rs = build("C40")
+    path = tmp_path / "every_root.json"
+
+    def printed(entries):
+        doc = {"family": "C", "rank": 40, "parabolic_omitted_index": 1, "d": 1,
+               "entries": [{"root_coords": list(c), "multiplicity": n} for c, n in entries]}
+        path.write_text(json.dumps(doc))
+        assert main(["check-cert", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        return lines, {name: sum(key in line for line in lines) for name, key in checks.items()}
+
+    lines, counts = printed([(c, 1) for c in rs.positive_roots])
+    assert counts == {"(b)": cap, "(c)": cap, "Levi": cap, "positive": 0, "multiplicity": 0}
+    for check in ("(c)", "in the Levi at index 1:"):
+        assert f"  ! {check} list cut after {MAX_PAIR_FAILURES} entries" in lines
+    # Zero multiplicities and non-roots stop (b) and (c) from running.
+    lines, counts = printed([(c, 0) for c in rs.positive_roots] + [((2,) + (0,) * 39, 1)] * 100)
+    assert counts == {"(b)": 0, "(c)": 0, "Levi": cap, "positive": cap, "multiplicity": cap}
+    for check in ("multiplicity < 1:", "not a positive root:"):
+        assert f"  ! {check} list cut after {MAX_PAIR_FAILURES} entries" in lines

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylpath import RootSystemError, RootSystemType, build
+from weylpath import RootSystemError, RootSystemType, build, verify
 from weylpath.rootsystem import eps_from_root_coords, root_coords_from_eps
 
 ALL_LABELS = (
@@ -48,6 +48,17 @@ def test_cartan_matrix_shape(label):
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(RootSystemError):
         RootSystemType(family, rank)
+
+
+@pytest.mark.parametrize("bad", [3.7, True, "3", None])
+def test_non_integer_rank_rejected(bad):
+    # A float rank must not be truncated, nor True read as rank 1.
+    with pytest.raises(RootSystemError):
+        build("A", bad)
+    with pytest.raises(RootSystemError):
+        RootSystemType("A", bad)
+    with pytest.raises(RootSystemError):
+        verify("A", bad, omitted=2)
 
 
 def test_build_label_parsing():

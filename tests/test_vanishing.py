@@ -204,6 +204,70 @@ def test_witness_path_is_deterministic():
     assert first == again
 
 
+def _probe_walk(rs, parab, d, relaxed):
+    # The witness walk the depth-first walk replaced: greedy steps, each
+    # successor proved by its own A* from its orbit, bounded by the budget
+    # left after the step; a probe that found nothing is not repeated.
+    m = dijkstra_order(rs, parab, d, relaxed)
+    search = _search_data(rs.rst, d, relaxed)
+    cur, v, left = source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords, m
+    steps, nodes, missed = [], [cur], set()
+    while any(v):
+        for r, child, v2 in sorted(search.walk(cur, v, left), key=lambda e: e[1]):
+            start = search.canon(child, v2)
+            if (start[0], left - r) in missed:
+                continue
+            if _astar(*start, search.ladder, search.estimate, left - r) == left - r:
+                break
+            missed.add((start[0], left - r))
+        else:
+            raise AssertionError("probe walk lost the path")
+        steps.append((tuple((a - b) // r for a, b in zip(v, v2)), r))
+        cur, v, left = child, v2, left - r
+        nodes.append(cur)
+    return m, tuple(steps), tuple(nodes)
+
+
+# Configurations outside witness_golden.json: the spin outliers past B8,
+# two E8 interior nodes, a D configuration with lattice < order, and a
+# relaxed one.
+PROBE_CONFIGS = [(f"B{n}", n, False) for n in range(10, 15)] + [
+    ("E8", 2, False), ("E8", 4, False), ("D8", 3, False), ("E6", 4, True)]
+
+
+@pytest.mark.parametrize("label,p,relaxed", PROBE_CONFIGS)
+def test_witness_walk_matches_probe_walk(label, p, relaxed):
+    rs = build(label)
+    parab = P(rs.rank, p)
+    for d in range(1, rs.rank + 1):
+        assert shortest_path(rs, parab, d, relaxed) == _probe_walk(rs, parab, d, relaxed), d
+
+
+def test_witness_walk_runs_no_astar_once_the_order_is_cached(monkeypatch):
+    rs = build("E7")
+    parab = P(7, 2)
+    for d in range(1, 8):
+        dijkstra_order(rs, parab, d)
+
+    def no_astar(*args):
+        raise AssertionError("shortest_path ran _astar")
+
+    monkeypatch.setattr(vanishing, "_astar", no_astar)
+    for d in range(1, 8):
+        cost, steps, _ = shortest_path(rs, parab, d)
+        assert sum(r for _, r in steps) == cost
+
+
+def test_witness_walk_failure_names_configuration_layer_and_budget(monkeypatch):
+    rs = build("B4")
+    m = dijkstra_order(rs, P(4, 4), 2)
+    order = vanishing._dijkstra_cached
+    monkeypatch.setattr(vanishing, "_dijkstra_cached", lambda *key: order(*key) - 1)
+    with pytest.raises(vanishing.InternalInconsistencyError,
+                       match=rf"^B4 P=\[4\] d=2: witness: no path within budget {m - 1}$"):
+        shortest_path(rs, P(4, 4), 2)
+
+
 # -- lattice oracle ----------------------------------------------------------
 
 def test_lattice_single_root_targets():
@@ -294,11 +358,12 @@ def test_cells_with_lattice_below_order():
                                      ("E6", 4), ("F4", 2), ("G2", 1)])
 @pytest.mark.parametrize("relaxed", [False, True])
 def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
-    # The forward probes behind shortest_path are exact only for a
-    # consistent estimator: h(v) <= 1 + h(v - beta) for every usable beta,
-    # and h(u) <= r + h(child) on every step of the orbit searches, whose
-    # children are canonicalized.  The lattice search's slack filter may
-    # drop only children that cannot fit the slack.
+    # A* ends at its first sink pop, which is exact only for a consistent
+    # estimator: h(v) <= 1 + h(v - beta) for every usable beta, and
+    # h(u) <= r + h(child) on every step of the orbit searches, whose
+    # children are canonicalized.  The witness walk in shortest_path needs
+    # only admissibility, the last assertion below.  The lattice search's
+    # slack filter may drop only children that cannot fit the slack.
     rng = random.Random(f"{label}/{p}/{relaxed}")
     rs = build(label)
     parab = P(rs.rank, p)
