@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import floordiv, mod, mul, sub
 from typing import Sequence
 
 Weight = tuple  # fundamental-weight coordinates, ints or Fractions
@@ -232,37 +232,34 @@ class RootSystem:
         self._cartan_cols = tuple(tuple((j, A[j][i]) for j in range(self.rank) if A[j][i])
                                   for i in range(self.rank))
         fund_of = self._close_positive_roots()
-        self.positive_roots = tuple(sorted(fund_of, key=lambda c: (sum(c), c)))
-        self._pos_set = frozenset(self.positive_roots)
-        self._root_index = {c: k for k, c in enumerate(self.positive_roots)}
+        roots = self.positive_roots = tuple(sorted(fund_of, key=lambda c: (sum(c), c)))
+        self._pos_set = frozenset(roots)
+        self._root_index = dict(zip(roots, range(len(roots))))
 
         want = _POSITIVE_COUNTS[rst.family](self.rank)
-        if len(self.positive_roots) != want:
+        if len(roots) != want:
             raise RootSystemError(
-                f"{rst}: enumerated {len(self.positive_roots)} positive roots, expected {want}"
+                f"{rst}: enumerated {len(roots)} positive roots, expected {want}"
             )
 
-        halfnorm, coroots, fund = [], [], []
         dvec = self.sym
-        for c in self.positive_roots:
-            f = fund_of[c]
-            # (beta, beta) = sum_ij c_i d_i A_ij c_j = sum_i c_i d_i <beta, alpha_i^vee>
-            nn = sum(ci * di * fi for ci, di, fi in zip(c, dvec, f))
+        fund = self._fund_coords = tuple(map(fund_of.__getitem__, roots))
+        # c_i d_i per root; (beta, beta) = sum_ij c_i d_i A_ij c_j
+        # = sum_i c_i d_i <beta, alpha_i^vee>, and beta^vee = (c_i d_i) / ((beta, beta)/2)
+        scaled = [tuple(map(mul, c, dvec)) for c in roots]
+        norms = [sum(map(mul, cd, f)) for cd, f in zip(scaled, fund)]
+        coroots = []
+        for c, cd, nn in zip(roots, scaled, norms):
             if nn <= 0 or nn % 2:
                 raise RootSystemError(f"{rst}: bad norm {nn} for root {c}")
             hn = nn // 2
-            cv = []
-            for j in range(self.rank):
-                num = c[j] * dvec[j]
-                if num % hn:
+            if hn != 1:
+                if any(map(mod, cd, repeat(hn))):
                     raise RootSystemError(f"{rst}: non-integral coroot for {c}")
-                cv.append(num // hn)
-            halfnorm.append(hn)
-            coroots.append(tuple(cv))
-            fund.append(f)
-        self._halfnorm = tuple(halfnorm)
+                cd = tuple(map(floordiv, cd, repeat(hn)))
+            coroots.append(cd)
+        self._halfnorm = tuple(nn // 2 for nn in norms)
         self._coroots = tuple(coroots)
-        self._fund_coords = tuple(fund)
 
     # -- enumeration ---------------------------------------------------
 

@@ -22,6 +22,16 @@ The chain ``coefficient <= lattice <= dijkstra <= certificate cost``
 holds whenever the pieces are defined, and collapses to equality at
 every cominuscule parabolic.
 
+Every route starts from the target, and the targets of all d come from
+two packed raises.  -w0 is linear and -sum_d M**(d-1) omega_d is
+regular antidominant, so one raise of it over all of W gives every
+b_d = omega_d - w0(omega_d) in root coordinates as base-M digits, once
+per system (:func:`_raise_over_w`); one raise of the packed result over
+the Levi gives every tau(-w0(omega_d)) and the target b_d - c_d, once
+per (system, parabolic) (:func:`_targets`).  The digits satisfy
+0 <= c_d <= b_d <= 2 rho, so M = 2**bitlen(2 |R+| max(theta)) lies above
+every one of them (:func:`_digit_bits`).
+
 The path and lattice searches run on orbits of the Levi Weyl group W_L
 at d, generated by the s_i with i != d.  W_L permutes the usable roots,
 fixes omega_d and keeps every pairing <chi, beta^vee>, so both distances
@@ -44,9 +54,11 @@ residual, then cut to the slack (:func:`_make_moves`).
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul, sub
+from itertools import chain
+from operator import mul, sub
 from typing import Callable, NamedTuple, Optional
 
 from .rootsystem import (
@@ -140,36 +152,46 @@ class VanishingResult:
 # dominant points of Weyl-group orbits
 # ---------------------------------------------------------------------------
 
+class _Tables(NamedTuple):
+    """Per-system data of the searches and the raises; see :func:`_reflection_tables`."""
+
+    cols: tuple     # cols[i]: the (j, <alpha_{i+1}, alpha_{j+1}^vee>) that are nonzero
+    blocked: tuple  # blocked[i]: roots with <beta, alpha_{i+1}^vee> > 0
+    atleast: tuple  # atleast[j][t]: roots with coefficient at least t at j
+    tops: tuple     # theta_j + 1, so atleast[j][tops[j]] is empty
+
+
 @lru_cache(maxsize=None)
-def _reflection_tables(rst: RootSystemType):
+def _reflection_tables(rst: RootSystemType) -> _Tables:
     """The root system's stored sparse Cartan columns and two bitset tables
     over its positive roots, bit k standing for ``rs.positive_roots[k]``.
 
-    ``cols[i]`` holds the ``(j, <alpha_{i+1}, alpha_{j+1}^vee>)`` that are
-    nonzero.  ``blocked[i]`` is the set of roots with
-    ``<beta, alpha_{i+1}^vee> > 0``.  ``atleast[j][t]`` is the set of roots
-    whose coefficient at j is at least t, for t = 0..theta_j + 1 with theta
-    the highest root, so ``atleast[j][0]`` holds every root and the last
-    entry none.
+    ``atleast[j][t]`` runs over t = 0..theta_j + 1 with theta the highest
+    root, so ``atleast[j][0]`` holds every root and the last entry none.
+    Each bitset is one column of the roots' coordinates as bytes, mapped
+    by ``bytes.translate`` to the digits ``0`` and ``1`` and read by
+    ``int(..., 2)``, highest root first.
     """
     rs = build(rst)
-    roots = rs.positive_roots
-    blocked = [0] * rs.rank
-    for k, f in enumerate(rs._fund_coords):
-        for i, x in enumerate(f):
-            if x > 0:
-                blocked[i] |= 1 << k
-    atleast = []
-    for col, top in zip(zip(*roots), roots[-1]):
-        sets = [0] * (top + 2)  # first the roots with coefficient exactly t
-        for k, x in enumerate(col):
-            if x:
-                sets[x] |= 1 << k
-        sets[0] = (1 << len(roots)) - 1
-        for t in range(top, 0, -1):
-            sets[t] |= sets[t + 1]
-        atleast.append(tuple(sets))
-    return rs._cartan_cols, tuple(blocked), tuple(atleast)
+    roots, n = rs.positive_roots, rs.rank
+
+    def bitset(column, table):
+        return int(column.translate(table)[::-1], 2)
+
+    # Pairings lie in -3..3; packed as signed bytes, exactly 1..127 are positive.
+    flat = [*chain.from_iterable(rs._fund_coords)]
+    pairings = struct.pack(f"{len(flat)}b", *flat)
+    positive = b"0" + b"1" * 127 + b"0" * 128
+    coeffs = bytes(chain.from_iterable(roots))
+    every = (1 << len(roots)) - 1
+    return _Tables(
+        cols=rs._cartan_cols,
+        blocked=tuple(bitset(pairings[i::n], positive) for i in range(n)),
+        atleast=tuple((every, *(bitset(coeffs[j::n], b"0" * t + b"1" * (256 - t))
+                                for t in range(1, top + 1)), 0)
+                      for j, top in enumerate(roots[-1])),
+        tops=tuple(t + 1 for t in roots[-1]),
+    )
 
 
 def _make_canon(cols, indices):
@@ -208,54 +230,117 @@ def _make_canon(cols, indices):
     return canon
 
 
+def _raise(cols, indices, chi):
+    """The W_J-dominant point of chi and, in root coordinates, how far it
+    lies above chi (see :func:`_make_canon`)."""
+    return _make_canon(cols, indices)(chi, (0,) * len(cols))
+
+
 # ---------------------------------------------------------------------------
 # target weight
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _dominant_negated(rst: RootSystemType, d: int):
-    """-omega_d raised to its dominant point over all of W: the pair
-    ``(lam, b)`` with lam = -w0(omega_d) = -omega_d + b, b in root
-    coordinates.  It depends on the system and d only, not the parabolic."""
-    n = rst.rank
-    cols = _reflection_tables(rst)[0]
-    return _make_canon(cols, range(n))(tuple(-int(j == d - 1) for j in range(n)), (0,) * n)
+def _digit_bits(rs: RootSystem) -> int:
+    """Bits s of the digit base M = 2**s of the packed raises.
+
+    The root-coordinate digits b_d = omega_d + omega_{sigma(d)} and c_d
+    (:func:`_raise_over_w`, :func:`_targets`) satisfy 0 <= c_d <= b_d <= 2 rho,
+    whose coefficients are sums of |R+| root coefficients, each at most
+    max(theta).  The weight digits tau(omega_{sigma(d)}) pair omega_{sigma(d)}
+    with coroots, so they are at most the highest coroot's coefficients,
+    which never exceed max(theta).  With M > 2 |R+| max(theta) every digit
+    lies in [-M/2, M/2), where :func:`_unpack` reads it.
+    """
+    return (2 * len(rs.positive_roots) * max(rs.positive_roots[-1])).bit_length()
+
+
+def _unpack(packed, bits: int, where: str) -> tuple:
+    """Per d, digit d - 1 of every entry of ``packed``, in base M = 2**bits.
+
+    Digits are read in [-M/2, M/2): the entry is offset by M/2 in every
+    digit, cut into ``len(packed)`` digits of ``bits`` bits and shifted
+    back.  The digits re-pack to the entry exactly when the offset entry
+    lies in [0, M**n); an entry outside raises, naming ``where``.
+    """
+    n = len(packed)
+    shifts = range(0, bits * n, bits)
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    offset = sum(half << s for s in shifts)
+    top = 1 << (bits * n)
+    rows = []
+    for x in packed:
+        x += offset
+        if not 0 <= x < top:
+            raise InternalInconsistencyError(
+                f"{where}: packed entry {x - offset} does not re-pack from {n} digits of base 2**{bits}")
+        rows.append([((x >> s) & mask) - half for s in shifts])
+    return tuple(zip(*rows))
 
 
 @lru_cache(maxsize=None)
-def _target_cached(rst: RootSystemType, parab: Parabolic, d: int) -> TargetWeight:
-    # With lam = -w0(omega_d) = -omega_d + b, raising -lam over the Levi
-    # gives -tau(lam) = -lam + c.  So the target omega_d + tau(lam) is
-    # exactly b - c in root coordinates, integral by construction.  It is a
-    # sum of positive roots, which the check below confirms.
+def _raise_over_w(rst: RootSystemType):
+    """-w0 and every omega_d + omega_{sigma(d)}, sigma = -w0, from one raise.
+
+    -w0 is linear, and the packed weight -sum_d M**(d-1) omega_d is regular
+    antidominant, so w0 takes it to its dominant point.  Raising it over
+    all of W therefore gives ``lam = sum_d M**(d-1) omega_{sigma(d)}`` and
+    ``b``, whose digit d - 1 in each entry is the root coordinate of
+    b_d = omega_d + omega_{sigma(d)}.  Returns ``(bits, lam, b)`` with
+    M = 2**bits from :func:`_digit_bits`; it depends on the system only.
+    """
+    rs = build(rst)
+    n = rs.rank
+    bits = _digit_bits(rs)
+    lam, b = _raise(_reflection_tables(rst).cols, range(n), tuple(-1 << (bits * j) for j in range(n)))
+    return bits, lam, b
+
+
+@lru_cache(maxsize=None)
+def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
+    """Per d, the target ``TargetWeight`` and the source tau(-w0(omega_d)).
+
+    With lam_d = -w0(omega_d) = omega_{sigma(d)} = -omega_d + b_d, raising
+    -lam_d over the Levi gives -tau(lam_d) = -lam_d + c_d, so the target
+    omega_d + tau(lam_d) is b_d - c_d in root coordinates, integral by
+    construction.  The raise is linear on -lam_d, which is antidominant,
+    so one raise of the packed -lam of :func:`_raise_over_w` gives every
+    c_d and every tau(lam_d) at once, read off by :func:`_unpack`.  Each
+    target is a sum of positive roots, which the check below confirms.
+    """
     rs = build(rst)
     rs._check_parabolic(parab)
-    cols = _reflection_tables(rst)[0]
-    zero = (0,) * rs.rank
-    omega = rs.fundamental_weight(d)
-    lam, b = _dominant_negated(rst, d)
+    bits, lam, b = _raise_over_w(rst)
     levi = [i - 1 for i in sorted(parab.retained)]
-    neg_tau, c = _make_canon(cols, levi)(tuple(-x for x in lam), zero)
-    value = tuple(map(sub, omega, neg_tau))
-    coords = tuple(map(sub, b, c))
-    if min(coords) < 0:
-        raise InternalInconsistencyError(
-            f"{rst} P={sorted(parab.omitted)} d={d}: target has coordinates {coords}, "
-            "expected nonnegative integers"
-        )
-    return TargetWeight(d=d, value=value, root_coords=coords)
+    neg_tau, c = _raise(_reflection_tables(rst).cols, levi, tuple(-x for x in lam))
+    where = f"{rst} P={sorted(parab.omitted)}: target"
+    coords = _unpack(tuple(map(sub, b, c)), bits, where)
+    sources = _unpack(tuple(-x for x in neg_tau), bits, where)
+    out = []
+    for d, (root_coords, source) in enumerate(zip(coords, sources), start=1):
+        if min(root_coords) < 0:
+            raise InternalInconsistencyError(
+                f"{where} d={d}: target has coordinates {root_coords}, expected nonnegative integers")
+        value = (*source[:d - 1], source[d - 1] + 1, *source[d:])
+        out.append((TargetWeight(d=d, value=value, root_coords=root_coords), source))
+    return tuple(out)
+
+
+def _target_cached(rst: RootSystemType, parab: Parabolic, d: int):
+    """``(target, source)`` at d, read from the cached record of
+    :func:`_targets`; ``d`` is a checked index."""
+    return _targets(rst, parab)[d - 1]
 
 
 def target_weight(rs: RootSystem, parabolic: Parabolic, d: int) -> TargetWeight:
     """omega_d + tau(-w0(omega_d)) in both bases, exactly."""
     rs._check_index(d)
-    return _target_cached(rs.rst, parabolic, d)
+    return _target_cached(rs.rst, parabolic, d)[0]
 
 
 def source_weight(rs: RootSystem, parabolic: Parabolic, d: int) -> Weight:
     """tau(-w0(omega_d)); equals -tau(w0(omega_d)), the path source."""
-    tw = target_weight(rs, parabolic, d)
-    return tuple(v - w for v, w in zip(tw.value, rs.fundamental_weight(d)))
+    rs._check_index(d)
+    return _target_cached(rs.rst, parabolic, d)[1]
 
 
 def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple:
@@ -329,10 +414,9 @@ def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
     With ``levi`` empty and ``canon`` the identity these are the plain
     steps between single states.
     """
-    _, blocked, atleast = _reflection_tables(rs.rst)
+    _, blocked, atleast, tops = _reflection_tables(rs.rst)
     coroots, funds, roots = rs._coroots, rs._fund_coords, rs.positive_roots
     theta = roots[-1]
-    tops = tuple(t + 1 for t in theta)  # atleast[j][tops[j]] is empty
 
     def successors(chi, v, slack):
         mask = usable
@@ -402,7 +486,7 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
     successors narrow per state; see :func:`_make_moves`.
     """
     rs = build(rst)
-    cols, _, atleast = _reflection_tables(rst)
+    cols, _, atleast, _ = _reflection_tables(rst)
     if relaxed:
         usable, levi, canon = (1 << len(rs.positive_roots)) - 1, (), _same
     else:
@@ -412,7 +496,7 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
         walk=_make_moves(rs, usable, (), _same, True),
         ladder=_make_moves(rs, usable, levi, canon, True),
         subtract=_make_moves(rs, usable, levi, canon, False),
-        estimate=_make_estimator(rs),
+        estimate=_estimator(rst),
         canon=canon,
     )
 
@@ -432,7 +516,8 @@ def _estimator_bounds(rs: RootSystem):
     return theta, sum(map(abs, eps_from_root_coords(rs.rst, theta)))
 
 
-def _make_estimator(rs: RootSystem):
+@lru_cache(maxsize=None)
+def _estimator(rst: RootSystemType):
     """Admissible lower bound on the cost still needed to clear a residual.
 
     Combines two arguments: per simple index j, the residual coefficient
@@ -441,10 +526,10 @@ def _make_estimator(rs: RootSystem):
     coordinates divided by the largest L1 norm of a usable root, since
     each unit of cost moves at most that many epsilon units.  Both
     constants come from the highest root (:func:`_estimator_bounds`),
-    whose full support also means no residual is declared hopeless.
+    whose full support also means no residual is declared hopeless.  It
+    is the same at every d, so it is built once per system.
     """
-    rst = rs.rst
-    maxcoef, maxstep = _estimator_bounds(rs)
+    maxcoef, maxstep = _estimator_bounds(build(rst))
 
     def estimate(v) -> int:
         h = 0
@@ -466,8 +551,8 @@ def _make_estimator(rs: RootSystem):
 @lru_cache(maxsize=None)
 def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
     search = _search_data(rst, d, relaxed)
-    source = source_weight(build(rst), parab, d)
-    start = search.canon(source, _target_cached(rst, parab, d).root_coords)
+    tw, source = _target_cached(rst, parab, d)
+    start = search.canon(source, tw.root_coords)
     # Each step of cost r subtracts r*beta with ht(beta) >= 1, so m is at
     # most the start residual's height: a ceiling that leaves m unchanged.
     m = _astar(*start, search.ladder, search.estimate, sum(start[1]))
@@ -502,7 +587,8 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
     def node(chi, v, left):
         return chi, v, left, iter(sorted(search.walk(chi, v, left), key=lambda e: e[1]))
 
-    stack = [node(source_weight(rs, parabolic, d), _target_cached(rs.rst, parabolic, d).root_coords, m)]
+    tw, source = _target_cached(rs.rst, parabolic, d)
+    stack = [node(source, tw.root_coords, m)]
     failed = {}  # orbit -> largest budget it is known not to fit
     while any(stack[-1][1]):
         chi, v, left, todo = stack[-1]
@@ -536,7 +622,7 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool
     # each expansion generates only the children that can still meet it;
     # the cheapest ladder is a decomposition into m <= ht(v0) usable roots.
     search = _search_data(rst, d, relaxed)
-    tw = _target_cached(rst, parab, d)
+    tw = _target_cached(rst, parab, d)[0]
     start, v0 = search.canon(tw.value, tw.root_coords)
     for bound in range(search.estimate(v0), sum(v0) + 1):
         m = _astar(start, v0, search.subtract, search.estimate, bound)
@@ -621,13 +707,13 @@ def _config(rst: RootSystemType, omitted: int, d: int) -> _Config:
     rs = build(rst)
     parab = _maximal_at(rst.rank, omitted)[0]
     rs._check_index(d)
-    tw = _target_cached(rst, parab, d)
+    tw, source = _target_cached(rst, parab, d)
     sink = _maximal_at(rst.rank, d)[1]
     alpha = distinguished_index(rs, parab, d)
     return _Config(
         parab=parab,
         target=tw.root_coords,
-        source=tuple(map(add, tw.value, sink)),
+        source=source,
         sink=sink,
         c_alpha=None if alpha is None else tw.root_coords[alpha - 1],
     )

@@ -220,12 +220,20 @@ def report_to_markdown(rep: VerificationReport) -> str:
 # the full sweep
 # ---------------------------------------------------------------------------
 
+def _check_max_rank(max_rank) -> None:
+    # type() rather than isinstance(): True must not pass as rank 1.
+    if type(max_rank) is not int:
+        raise RootSystemError(f"max rank {max_rank!r} must be a plain integer")
+
+
 def tabulated_configurations(max_rank: int = 12):
     """Every (family, rank, p) of rank <= max_rank that the catalog covers.
 
     That is every cominuscule parabolic except the odd quadric B_n/P1,
-    by family, then rank, then p.
+    by family, then rank, then p.  A max rank that is not a plain int
+    raises :class:`RootSystemError` when iteration starts.
     """
+    _check_max_rank(max_rank)
     for fam, (lo, hi) in _RANK_BOUNDS.items():
         for rank in range(lo, min(max_rank, hi or max_rank) + 1):
             rs = build(fam, rank)
@@ -247,6 +255,7 @@ class SuiteReport:
 def verify_suite(max_rank: int = 12) -> SuiteReport:
     """Sweep every cominuscule parabolic except the odd quadric B_n/P1,
     plus the factual side checks."""
+    _check_max_rank(max_rank)
     if max_rank < 2:
         raise RootSystemError("max_rank must be at least 2")
     reports = []

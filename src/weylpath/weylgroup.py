@@ -54,11 +54,16 @@ def longest_element(rs: RootSystem, subset: Iterable | None = None) -> WeylWord:
     ``subset`` with positive coordinate.  Always picking the smallest
     descent makes the returned reduced word deterministic; any descent
     order would yield the same group element.  ``subset=None`` means all
-    indices, producing w0.
+    indices, producing w0.  Entries must be plain ints (not bool, float or
+    str), as for every simple index.
     """
-    idx = sorted(range(1, rs.rank + 1) if subset is None else {int(j) for j in subset})
-    if not set(idx) <= set(range(1, rs.rank + 1)):
-        raise RootSystemError(f"subset {idx} out of range 1..{rs.rank}")
+    if subset is None:
+        idx = range(1, rs.rank + 1)
+    else:
+        chosen = list(subset)
+        for j in chosen:
+            rs._check_index(j)
+        idx = sorted(set(chosen))
     v = tuple(int(j + 1 in idx) for j in range(rs.rank))
     applied = []
     while True:

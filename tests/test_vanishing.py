@@ -12,7 +12,10 @@ from weylpath import (
 from weylpath import vanishing
 from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
 from weylpath.rootsystem import eps_from_root_coords
-from weylpath.vanishing import _astar, _estimator_bounds, _search_data, allowed_root_indices
+from weylpath.vanishing import (
+    InternalInconsistencyError, TargetWeight, _astar, _estimator_bounds, _search_data,
+    allowed_root_indices,
+)
 
 
 def P(rank, d):
@@ -105,33 +108,124 @@ def test_cold_verify_computes_longest_words_once(monkeypatch):
     clear_caches()
 
 
-def test_cold_suite_raises_each_fundamental_weight_once(monkeypatch):
-    # -w0(omega_d) depends on the system and d only, so a cold suite must
-    # raise -omega_d over all of W once per distinct (system, d) pair,
-    # however many parabolics share it.
-    pairs, raises = set(), []
-    target_cached, make_canon = vanishing._target_cached, vanishing._make_canon
+def test_cold_suite_raises_once_per_system_and_parabolic(monkeypatch):
+    # -w0(omega_d) for every d comes from one packed raise over all of W
+    # per system, and tau(-w0(omega_d)) for every d from one packed raise
+    # over the Levi per (system, parabolic), however many d share them.
+    targeted, pairs, over_w, over_levi = set(), set(), [], []
+    target_cached, raise_ = vanishing._target_cached, vanishing._raise
 
     def recording(rst, parab, d):
+        targeted.add((rst, parab))
         pairs.add((rst, d))
         return target_cached(rst, parab, d)
 
-    def counting(cols, indices):
-        canon = make_canon(cols, indices)
-        if sorted(indices) != list(range(len(cols))):
-            return canon
-
-        def raising(chi, v):
-            raises.append(chi)
-            return canon(chi, v)
-
-        return raising
+    def counting(cols, indices, chi):
+        (over_w if list(indices) == list(range(len(cols))) else over_levi).append(chi)
+        return raise_(cols, indices, chi)
 
     clear_caches()
     monkeypatch.setattr(vanishing, "_target_cached", recording)
-    monkeypatch.setattr(vanishing, "_make_canon", counting)
+    monkeypatch.setattr(vanishing, "_raise", counting)
     verify_suite(8)
-    assert pairs and len(raises) == len(pairs)
+    systems = {rst for rst, _ in targeted}
+    assert len(over_w) == len(systems) < len(pairs)
+    assert len(over_levi) == len(targeted)
+
+
+def _reference_target(rs, parab, d):
+    # The per-d raise the packed raises replaced: -omega_d raised over all
+    # of W gives lam = -w0(omega_d) = -omega_d + b, then -lam raised over
+    # the Levi gives -tau(lam) = -lam + c; the target is b - c in root
+    # coordinates and the source tau(lam).
+    n = rs.rank
+    cols = rs._cartan_cols
+    lam, b = vanishing._make_canon(cols, range(n))(tuple(-int(j == d - 1) for j in range(n)), (0,) * n)
+    levi = [i - 1 for i in sorted(parab.retained)]
+    neg_tau, c = vanishing._make_canon(cols, levi)(tuple(-x for x in lam), (0,) * n)
+    source = tuple(-x for x in neg_tau)
+    value = tuple(x + int(j == d - 1) for j, x in enumerate(source))
+    return TargetWeight(d=d, value=value, root_coords=tuple(a - x for a, x in zip(b, c))), source
+
+
+PACKED_LABELS = (
+    [f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", PACKED_LABELS)
+def test_packed_raise_matches_per_d_raise(label):
+    rs = build(label)
+    n = rs.rank
+    rng = random.Random(f"packed {label}")
+    parabolics = [P(n, p) for p in range(1, n + 1)] + [Parabolic(n, frozenset()),
+                                                      Parabolic(n, frozenset(range(1, n + 1)))]
+    parabolics += [Parabolic(n, frozenset(rng.sample(range(1, n + 1), rng.randint(2, n))))
+                   for _ in range(3) if n > 1]
+    for parab in parabolics:
+        for d in range(1, n + 1):
+            want = _reference_target(rs, parab, d)
+            assert (target_weight(rs, parab, d), source_weight(rs, parab, d)) == want, \
+                (label, sorted(parab.omitted), d)
+
+
+DIGIT_LABELS = (
+    [f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 25)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", DIGIT_LABELS)
+def test_packed_digits_stay_below_the_base(label):
+    # 0 <= c_d <= b_d <= 2 rho and |tau(lam_d)| <= max(theta) all lie in
+    # [-M/2, M/2), where the packed raises' digits are read.
+    rs = build(label)
+    n = rs.rank
+    half = 1 << (vanishing._digit_bits(rs) - 1)
+    two_rho = tuple(map(sum, zip(*rs.positive_roots)))
+    top = max(rs.positive_roots[-1])
+    assert max(two_rho) < half and top < half
+    for d in range(1, n + 1):
+        _, b = vanishing._make_canon(rs._cartan_cols, range(n))(
+            tuple(-int(j == d - 1) for j in range(n)), (0,) * n)
+        assert all(0 <= x <= y for x, y in zip(b, two_rho)), d
+        for p in range(1, n + 1):
+            tw = target_weight(rs, P(n, p), d)
+            assert all(0 <= x <= y for x, y in zip(tw.root_coords, b)), (p, d)
+            assert max(map(abs, source_weight(rs, P(n, p), d))) <= top, (p, d)
+            assert tw.value == rs.from_root_basis(tw.root_coords), (p, d)
+
+
+def test_packed_decode_checks_its_base(monkeypatch):
+    rs = build("E6")
+    real = vanishing._digit_bits(rs)
+    clear_caches()
+    monkeypatch.setattr(vanishing, "_digit_bits", lambda rs: 2)
+    with pytest.raises(InternalInconsistencyError, match=r"^E6 P=\[1\]: target: packed entry"):
+        target_weight(rs, P(6, 1), 3)
+    monkeypatch.setattr(vanishing, "_digit_bits", lambda rs: real)
+    clear_caches()
+    assert target_weight(rs, P(6, 1), 1).root_coords == (2, 1, 2, 2, 1, 0)
+    clear_caches()
+
+
+def test_unpack_reads_signed_digits():
+    rng = random.Random(13)
+    for bits in (1, 2, 5, 11):
+        half = 1 << (bits - 1)
+        for n in (1, 3, 8):
+            digits = [tuple(rng.randrange(-half, half) for _ in range(n)) for _ in range(n)]
+            packed = tuple(sum(row[k] << (bits * k) for k in range(n)) for row in zip(*digits))
+            assert vanishing._unpack(packed, bits, "x") == tuple(digits)
+            lo = sum(-half << (bits * k) for k in range(n))
+            hi = sum(half - 1 << (bits * k) for k in range(n))
+            rest = (0,) * (n - 1)
+            for x, digit in ((lo, -half), (hi, half - 1)):
+                assert vanishing._unpack((*rest, x), bits, "x") == ((*rest, digit),) * n
+            for x in (lo - 1, hi + 1):
+                with pytest.raises(InternalInconsistencyError, match=f"^x: packed entry {x} "):
+                    vanishing._unpack((*rest, x), bits, "x")
 
 
 # -- path oracle ------------------------------------------------------------

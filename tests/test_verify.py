@@ -162,6 +162,15 @@ def test_dim_quotient_rejects_parabolic_of_wrong_rank():
             dim_quotient(build("A3"), parab)
 
 
+def test_max_rank_must_be_plain_int():
+    # 3.0, 2.5, "4" and None used to escape as TypeError from range() or <.
+    for bad in (3.0, 2.5, "4", None, True):
+        with pytest.raises(RootSystemError):
+            verify_suite(bad)
+        with pytest.raises(RootSystemError):
+            list(tabulated_configurations(bad))
+
+
 def test_suite_small():
     suite = verify_suite(6)
     assert suite.ok

@@ -137,6 +137,21 @@ def test_orbit_contains_extremes_and_divides_group_order():
         assert weyl_order(rs) % len(orb) == 0
 
 
+def test_longest_element_rejects_non_integer_entries():
+    # Entries were truncated by int(): 2.7 gave (2,), True (1,) and "3" (3,).
+    rs = build("A4")
+    for bad in (2.7, True, "3", None):
+        with pytest.raises(RootSystemError):
+            longest_element(rs, [bad])
+        with pytest.raises(RootSystemError):
+            longest_element(rs, [1, bad])
+    for bad in (0, 5, -1):
+        with pytest.raises(RootSystemError):
+            longest_element(rs, [bad])
+    assert longest_element(rs, [2]) == (2,)
+    assert longest_element(rs, [3, 2, 3]) == longest_element(rs, {2, 3})
+
+
 def test_orbit_rejects_non_dominant():
     rs = build("A2")
     with pytest.raises(RootSystemError):
