@@ -19,7 +19,6 @@ from the canonical cheapest path.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
 
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, root_coords_from_eps,

@@ -18,16 +18,19 @@ Conventions
 * Symmetrizers ``d_i`` make ``diag(d) @ A`` symmetric and are normalized
   so short roots have ``(beta, beta)/2 = 1``; pairings of integral
   weights with coroots are then plain integers.
+* The labels :class:`RootSystemType` and :class:`Parabolic` are
+  immutable named tuples: they hash and compare by value as plain
+  tuples do, index and unpack, and check their fields in ``__new__``,
+  which ``_make``, ``_replace`` and unpickling also go through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul, sub
-from typing import Sequence
 
 Weight = tuple  # fundamental-weight coordinates, ints or Fractions
 Root = tuple    # simple-root coordinates, ints
@@ -61,23 +64,29 @@ class RootSystemError(ValueError):
     """Invalid root-system data: bad (family, rank), non-root input, ..."""
 
 
-@dataclass(frozen=True, order=True)
-class RootSystemType:
-    """A finite type label such as E6 or D7."""
+def _validated_make(cls, iterable):
+    """``_make``, and so ``_replace``, through the validating ``__new__``."""
+    return cls(*iterable)
 
-    family: str
-    rank: int
 
-    def __post_init__(self):
-        if self.family not in _RANK_BOUNDS:
-            raise RootSystemError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
+class RootSystemType(namedtuple("RootSystemType", "family rank")):
+    """A finite type label such as E6 or D7: the named tuple ``(family, rank)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, family, rank):
+        if not isinstance(family, str) or family not in _RANK_BOUNDS:
+            raise RootSystemError(f"unknown family {family!r}")
+        lo, hi = _RANK_BOUNDS[family]
         # type() rather than isinstance(): True must not pass as rank 1.
-        if type(self.rank) is not int or self.rank < lo or (hi is not None and self.rank > hi):
+        if type(rank) is not int or rank < lo or (hi is not None and rank > hi):
             raise RootSystemError(
-                f"rank {self.rank!r} out of range for family {self.family} "
+                f"rank {rank!r} out of range for family {family} "
                 f"(allowed: {lo}..{hi if hi is not None else 'inf'})"
             )
+        return tuple.__new__(cls, (family, rank))
+
+    _make = classmethod(_validated_make)
 
     @property
     def label(self) -> str:
@@ -94,27 +103,31 @@ class RootSystemType:
         return self.label
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(namedtuple("Parabolic", "rank omitted")):
     """Standard parabolic: simple indices split into omitted and retained.
 
-    ``omitted`` holds the simple indices NOT in the Levi; a maximal
-    parabolic omits exactly one index.
+    The named tuple ``(rank, omitted)``: ``omitted`` is the frozenset of
+    simple indices NOT in the Levi; a maximal parabolic omits exactly one.
     """
 
-    rank: int
-    omitted: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rank, omitted):
+        try:
+            indices = tuple(omitted)
+        except TypeError:
+            indices = None
         # type() rather than isinstance(): True must not pass as index 1.
-        if type(self.rank) is not int or any(type(j) is not int for j in self.omitted):
+        if type(rank) is not int or indices is None or any(type(j) is not int for j in indices):
             raise RootSystemError(
-                f"parabolic rank {self.rank!r} and omitted indices {tuple(self.omitted)!r} "
-                "must be plain integers")
-        om = frozenset(self.omitted)
-        object.__setattr__(self, "omitted", om)
-        if not om <= set(range(1, self.rank + 1)):
-            raise RootSystemError(f"omitted indices {sorted(om)} out of range 1..{self.rank}")
+                f"parabolic rank {rank!r} and omitted indices "
+                f"{omitted if indices is None else indices!r} must be plain integers")
+        om = frozenset(indices)
+        if not all(0 < j <= rank for j in om):
+            raise RootSystemError(f"omitted indices {sorted(om)} out of range 1..{rank}")
+        return tuple.__new__(cls, (rank, om))
+
+    _make = classmethod(_validated_make)
 
     @classmethod
     def maximal(cls, rank: int, d: int) -> "Parabolic":

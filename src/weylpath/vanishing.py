@@ -49,20 +49,24 @@ depth-first under the path order.  Candidate roots come from per-system
 bitsets (:func:`_reflection_tables`): the usable set at d, minus the
 roots the stabilizer moves, minus those that do not fit under the
 residual, then cut to the slack (:func:`_make_moves`).
+
+The records :class:`TargetWeight`, :class:`Certificate`,
+:class:`CertificateValidation` and :class:`VanishingResult` are immutable
+named tuples: beside their named fields they index, unpack, hash by value
+and compare equal to a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import mul, sub
-from typing import Callable, NamedTuple, Optional
 
 from .rootsystem import (
-    Parabolic, Root, RootSystem, RootSystemError, RootSystemType, Weight, build,
+    Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, build,
     eps_from_root_coords,
 )
 from .weylgroup import cominuscule_indices
@@ -78,24 +82,22 @@ class InternalInconsistencyError(RuntimeError):
 MAX_PAIR_FAILURES = 64
 
 
-@dataclass(frozen=True)
-class TargetWeight:
+class TargetWeight(namedtuple("TargetWeight", "d value root_coords")):
     """omega_d + tau(-w0(omega_d)) with its simple-root coordinates."""
 
-    d: int
-    value: Weight
-    root_coords: Root
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", [
+    "rst",
+    "omitted",
+    "d",
+    "entries",  # ((root_coords, multiplicity), ...)
+    "origin",
+], defaults=("",))):
     """An ordered multiset of positive roots claiming to realize m_d."""
 
-    rst: RootSystemType
-    omitted: int
-    d: int
-    entries: tuple  # ((root_coords, multiplicity), ...)
-    origin: str = ""
+    __slots__ = ()
 
     @property
     def cost(self) -> int:
@@ -106,22 +108,23 @@ class Certificate:
         return Parabolic.maximal(self.rst.rank, self.omitted)
 
 
-@dataclass(frozen=True)
-class CertificateValidation:
+class CertificateValidation(namedtuple("CertificateValidation", [
+    "certificate",
+    "roots_ok",           # every entry is a positive root
+    "outside_levi",       # every entry lies outside the Levi at d
+    "sum_matches",        # (a) weighted sum equals the target weight
+    "orthogonal",         # (b) pairwise coroot pairings vanish
+    "ladder_uniform",     # (c) <chi0, beta_j^vee> = n_j for every j at once
+    "ladder_sequential",  # order-sensitive ladder: pairing equals n_j at each step
+    "cost",
+    "dijkstra",
+    "c_alpha",
+    "cost_matches",       # (d) cost equals dijkstra (and c_alpha when defined)
+    "failures",
+], defaults=((),))):
     """Clause-by-clause report for one certificate."""
 
-    certificate: Certificate
-    roots_ok: bool             # every entry is a positive root
-    outside_levi: bool         # every entry lies outside the Levi at d
-    sum_matches: bool          # (a) weighted sum equals the target weight
-    orthogonal: bool           # (b) pairwise coroot pairings vanish
-    ladder_uniform: bool       # (c) <chi0, beta_j^vee> = n_j for every j at once
-    ladder_sequential: bool    # order-sensitive ladder: pairing equals n_j at each step
-    cost: int
-    dijkstra: int
-    c_alpha: Optional[int]
-    cost_matches: bool         # (d) cost equals dijkstra (and c_alpha when defined)
-    failures: tuple = ()
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -135,30 +138,28 @@ class CertificateValidation:
         return self.valid and self.orthogonal and self.ladder_uniform
 
 
-@dataclass(frozen=True)
-class VanishingResult:
+class VanishingResult(namedtuple("VanishingResult", [
+    "d", "m_dijkstra", "m_lattice_lb", "c_alpha", "certificate_cost", "agreed",
+    "m_dijkstra_relaxed",
+], defaults=(None,))):
     """All routes to m_d for one fundamental index."""
 
-    d: int
-    m_dijkstra: int
-    m_lattice_lb: int
-    c_alpha: Optional[int]
-    certificate_cost: Optional[int]
-    agreed: bool
-    m_dijkstra_relaxed: Optional[int] = None
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # dominant points of Weyl-group orbits
 # ---------------------------------------------------------------------------
 
-class _Tables(NamedTuple):
+class _Tables(namedtuple("_Tables", [
+    "cols",     # cols[i]: the (j, <alpha_{i+1}, alpha_{j+1}^vee>) that are nonzero
+    "blocked",  # blocked[i]: roots with <beta, alpha_{i+1}^vee> > 0
+    "atleast",  # atleast[j][t]: roots with coefficient at least t at j
+    "tops",     # theta_j + 1, so atleast[j][tops[j]] is empty
+])):
     """Per-system data of the searches and the raises; see :func:`_reflection_tables`."""
 
-    cols: tuple     # cols[i]: the (j, <alpha_{i+1}, alpha_{j+1}^vee>) that are nonzero
-    blocked: tuple  # blocked[i]: roots with <beta, alpha_{i+1}^vee> > 0
-    atleast: tuple  # atleast[j][t]: roots with coefficient at least t at j
-    tops: tuple     # theta_j + 1, so atleast[j][tops[j]] is empty
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -451,12 +452,14 @@ def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
     return successors
 
 
-class _Search(NamedTuple):
-    walk: Callable      # the ladder on single weights
-    ladder: Callable    # the ladder on orbits
-    subtract: Callable  # unit root subtraction on orbits
-    estimate: Callable
-    canon: Callable
+class _Search(namedtuple("_Search", [
+    "walk",      # the ladder on single weights
+    "ladder",    # the ladder on orbits
+    "subtract",  # unit root subtraction on orbits
+    "estimate",
+    "canon",
+])):
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -682,15 +685,17 @@ def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> Opt
     return _config(rs.rst, parabolic.omitted_index, d).c_alpha
 
 
-class _Config(NamedTuple):
+class _Config(namedtuple("_Config", [
+    "parab",
+    "target",   # target weight in root coordinates
+    "source",   # chi0 = target - omega_d, in fundamental coordinates
+    "sink",     # -omega_d
+    "c_alpha",
+])):
     """What a certificate at one (system, maximal parabolic, d) is checked
     against, all of it read off the target weight."""
 
-    parab: Parabolic
-    target: Root        # target weight in root coordinates
-    source: Weight      # chi0 = target - omega_d, in fundamental coordinates
-    sink: Weight        # -omega_d
-    c_alpha: Optional[int]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -20,15 +20,19 @@ C_n at node 1 and B_n at node n.  For both, the canonical
 section does not vanish maximally along P/B, so sum_d m_d < dim G/P;
 the projective-space and even-orthogonal models of those spaces are
 what carry the identity.
+
+The reports :class:`VerificationReport` and :class:`SuiteReport` are
+immutable named tuples, like the records of :mod:`weylpath.vanishing`:
+beside their named fields they index, unpack, hash by value and compare
+equal to a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
 
 from .certificates import _catalog_covers, best_certificate
 from .rootsystem import _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, RootSystemType, build
@@ -38,17 +42,18 @@ from .vanishing import (
 from .weylgroup import minuscule_indices
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    family: str
-    rank: int
-    omitted: int
-    minuscule: bool
-    rows: tuple  # VanishingResult per d = 1..rank
-    sum_m: int
-    dim_gp: int
-    identity: bool
-    witnesses: Optional[tuple] = None  # per d: tuple of (root_coords, r) steps
+class VerificationReport(namedtuple("VerificationReport", [
+    "family",
+    "rank",
+    "omitted",
+    "minuscule",
+    "rows",       # VanishingResult per d = 1..rank
+    "sum_m",
+    "dim_gp",
+    "identity",
+    "witnesses",  # None, or per d: tuple of (root_coords, r) steps
+], defaults=(None,))):
+    __slots__ = ()
 
     @property
     def m_profile(self) -> tuple:
@@ -240,16 +245,17 @@ def tabulated_configurations(max_rank: int = 12):
             yield from ((fam, rank, p) for p in range(1, rank + 1) if _catalog_covers(rs, p))
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    max_rank: int
-    reports: tuple
-    identity_failures: tuple
-    disagreements: tuple
-    spin_cross_checks: tuple   # (n, B profile, D profile, ok)
-    parity_checks: tuple       # (n, m_{n-1}, m_n, ok)
-    negative_checks: tuple     # (n, sum_m, dim, ok) for C_n at node 1
-    ok: bool
+class SuiteReport(namedtuple("SuiteReport", [
+    "max_rank",
+    "reports",
+    "identity_failures",
+    "disagreements",
+    "spin_cross_checks",  # (n, B profile, D profile, ok)
+    "parity_checks",      # (n, m_{n-1}, m_n, ok)
+    "negative_checks",    # (n, sum_m, dim, ok) for C_n at node 1
+    "ok",
+])):
+    __slots__ = ()
 
 
 def verify_suite(max_rank: int = 12) -> SuiteReport:
@@ -341,18 +347,28 @@ def suite_to_json(suite: SuiteReport) -> str:
     return json.dumps(suite_to_dict(suite), indent=2)
 
 
+# The package's loaded modules at the last scan, and the caches found in them.
+_scanned = ((), ())
+
+
 def clear_caches() -> None:
     """Drop every memoized computation (used for cold-start timing).
 
     The package's modules are scanned for functools caches defined in
-    them, so a cache added anywhere is cleared without being listed.
+    them, so a cache added anywhere is cleared without being listed.  The
+    caches found are kept; the scan runs again only when the set of the
+    package's loaded modules has changed since the last one.
     """
+    global _scanned
     package = __name__.rpartition(".")[0]
-    for name, module in list(sys.modules.items()):
-        if name == package or name.startswith(package + "."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name:
-                    value.cache_clear()
+    modules = tuple((name, module) for name, module in list(sys.modules.items())
+                    if name == package or name.startswith(package + "."))
+    if modules != _scanned[0]:
+        _scanned = modules, tuple(
+            value for name, module in modules for value in vars(module).values()
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name)
+    for cache in _scanned[1]:
+        cache.cache_clear()
 
 
 def suite_to_markdown(suite: SuiteReport) -> str:

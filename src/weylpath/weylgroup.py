@@ -9,7 +9,6 @@ weight rho, which is how :func:`words_equal` tests equality.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 from .rootsystem import Parabolic, Root, RootSystem, RootSystemError, Weight
 

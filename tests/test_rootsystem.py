@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylpath import RootSystemError, RootSystemType, build, verify
+from weylpath import Parabolic, RootSystemError, RootSystemType, build, verify
 from weylpath.rootsystem import eps_from_root_coords, root_coords_from_eps
 
 ALL_LABELS = (
@@ -59,6 +59,44 @@ def test_non_integer_rank_rejected(bad):
         RootSystemType("A", bad)
     with pytest.raises(RootSystemError):
         verify("A", bad, omitted=2)
+
+
+@pytest.mark.parametrize("omitted", [1, None], ids=["int", "None"])
+def test_parabolic_rejects_non_iterable_omitted(omitted):
+    # Not a raw TypeError ("object is not iterable").
+    with pytest.raises(RootSystemError, match="plain integers"):
+        Parabolic(3, omitted)
+
+
+def test_root_system_type_rejects_unhashable_family():
+    # Not a raw TypeError ("unhashable type").
+    with pytest.raises(RootSystemError, match="unknown family"):
+        RootSystemType(["E"], 6)
+
+
+def test_make_and_replace_run_the_root_system_type_checks():
+    e6 = RootSystemType("E", 6)
+    assert e6._replace(rank=7) == RootSystemType("E", 7)
+    assert RootSystemType._make(["D", 5]) == RootSystemType("D", 5)
+    with pytest.raises(RootSystemError):
+        e6._replace(rank=True)
+    with pytest.raises(RootSystemError):
+        e6._replace(family="H")
+    with pytest.raises(RootSystemError):
+        RootSystemType._make(("E", 9))
+
+
+def test_make_and_replace_run_the_parabolic_checks():
+    p = Parabolic.maximal(3, 1)
+    assert p._replace(omitted=[2, 3]) == Parabolic(3, frozenset({2, 3}))
+    assert type(p._replace(omitted=[2]).omitted) is frozenset
+    assert Parabolic._make((4, {4})) == Parabolic.maximal(4, 4)
+    with pytest.raises(RootSystemError):
+        p._replace(omitted={4})
+    with pytest.raises(RootSystemError):
+        p._replace(omitted=1)
+    with pytest.raises(RootSystemError):
+        Parabolic._make((3, {True}))
 
 
 def test_build_label_parsing():

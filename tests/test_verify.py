@@ -232,6 +232,26 @@ def test_clear_caches_empties_every_cache():
     assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
 
 
+def test_clear_caches_finds_a_cache_in_a_module_imported_later(monkeypatch):
+    module = sys.modules["weylpath.verify"]
+    clear_caches()
+    kept = module._scanned
+    clear_caches()
+    assert module._scanned is kept  # no new module, no new scan
+    late = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader("weylpath._late", loader=None))
+    exec("from functools import lru_cache\n"
+         "@lru_cache(maxsize=None)\n"
+         "def square(x):\n"
+         "    return x * x\n", vars(late))
+    monkeypatch.setitem(sys.modules, "weylpath._late", late)
+    late.square(3)
+    verify("A", 2, omitted=1)
+    clear_caches()
+    assert late.square.cache_info().currsize == 0
+    assert [c.__qualname__ for c in _weylpath_caches() if c.cache_info().currsize] == []
+
+
 def test_cold_suite_runs_on_the_integer_root_table(monkeypatch):
     # The certificate checks, the minuscule test and the epsilon
     # conversion read RootSystem's stored coroots; none may fall back on
