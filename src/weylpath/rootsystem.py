@@ -459,6 +459,18 @@ def eps_from_root_coords(rst: RootSystemType, coords: Sequence) -> tuple:
     raise RootSystemError(f"{rst} has no epsilon realization here")
 
 
+def _eps_l1(family):
+    """The epsilon L1 norm of root coordinates c in a classical family, as
+    :func:`eps_from_root_coords` realizes it, or None."""
+    return {
+        "A": lambda c: sum(map(abs, map(sub, c, (0, *c)))) + abs(c[-1]),
+        "B": lambda c: sum(map(abs, map(sub, c, (0, *c)))),
+        "C": lambda c: sum(map(abs, map(sub, c[:-1], (0, *c)))) + abs(2 * c[-1] - c[-2]),
+        "D": lambda c: (sum(map(abs, map(sub, c[:-2], (0, *c))))
+                        + abs(c[-2] + c[-1] - c[-3]) + abs(c[-1] - c[-2])),
+    }.get(family)
+
+
 def root_coords_from_eps(rst: RootSystemType, eps: Sequence) -> tuple:
     """Simple-root coordinates of an epsilon vector of plain ints.
 

@@ -32,23 +32,20 @@ per (system, parabolic) (:func:`_targets`).  The digits satisfy
 0 <= c_d <= b_d <= 2 rho, so M = 2**bitlen(2 |R+| max(theta)) lies above
 every one of them (:func:`_digit_bits`).
 
-The path and lattice searches run on orbits of the Levi Weyl group W_L
-at d, generated by the s_i with i != d.  W_L permutes the usable roots,
-fixes omega_d and keeps every pairing <chi, beta^vee>, so both distances
-are W_L-invariant and each search settles only the Levi-dominant point
-of an orbit (see :func:`_search_data`).  The witness walk in
-:func:`shortest_path` follows single weights and records its failures
-by orbit.  Relaxed searches step along Levi roots too, which W_L does
-not permute, so they are not quotiented.
-
-Every search asks a state for its children with the slack left under a
-bound: the path order (one bounded A*, :func:`_astar`) runs under its
-start residual's height, the lattice search (the same A*) under a bound
-widened from its estimate up to that height, and the witness walk
-depth-first under the path order.  Candidate roots come from per-system
-bitsets (:func:`_reflection_tables`): the usable set at d, minus the
-roots the stabilizer moves, minus those that do not fit under the
-residual, then cut to the slack (:func:`_make_moves`).
+The Levi Weyl group W_L at d (the s_i, i != d) permutes the usable
+roots, fixes omega_d and keeps every pairing <chi, beta^vee>, so the
+path and lattice distances are W_L-invariant and their searches run on
+Levi-dominant points (:func:`_search_data`); relaxed searches also step
+along Levi roots, which W_L does not permute.  The path order and the
+witness are one depth-first routine (:func:`_depth_first`) with a memo
+of orbits that do not fit a budget: the order runs it on orbits under
+bounds deepened from its start's estimate to its start residual's
+height, the witness on single weights under the order.  The lattice
+search is a bounded A* (:func:`_astar`) widened alike.  Candidate roots
+come lazily, highest first, from per-system bitsets
+(:func:`_reflection_tables`): the usable set at d, less the roots the
+stabilizer moves and those that do not fit under the residual, cut to
+the slack (:func:`_make_moves`).
 
 The records :class:`TargetWeight`, :class:`Certificate`,
 :class:`CertificateValidation` and :class:`VanishingResult` are immutable
@@ -66,8 +63,7 @@ from itertools import chain
 from operator import mul, sub
 
 from .rootsystem import (
-    Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, build,
-    eps_from_root_coords,
+    Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, _eps_l1, build,
 )
 from .weylgroup import cominuscule_indices
 
@@ -356,40 +352,61 @@ def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple
 # shortest extremal-weight paths, one W_L-orbit at a time
 # ---------------------------------------------------------------------------
 
-def _astar(start, v0, successors, estimate, bound) -> Optional[int]:
+def _depth_first(start, v0, budget, children, step, orbit, estimate, failed):
+    """The stack ``[(state, v, left, untried), ...]`` of a walk from ``start``
+    that clears the residual ``v0`` within ``budget``, or ``None``.
+
+    It descends into the first of ``children(state, v, left)``, steps
+    ``(r, k)`` leading to ``step(state, v, r, k)``, whose cost plus estimate
+    fits the budget left and whose W_L-orbit ``orbit(child, v2)[0]`` is not
+    known in ``failed`` to need more; a state whose children run out is
+    backed up, its orbit and budget recorded there.  Steps lower the
+    residual's height, the estimator is admissible and distances are
+    W_L-invariant, so each record holds under any later budget.
+    """
+    stack = [(start, v0, budget, children(start, v0, budget))]
+    while any(stack[-1][1]):
+        chi, v, left, todo = stack[-1]
+        for r, k in todo:
+            child, v2 = step(chi, v, r, k)
+            key, w = orbit(child, v2)
+            if r + estimate(w) <= left and failed.get(key, -1) < left - r:
+                stack.append((child, v2, left - r, children(child, v2, left - r)))
+                break
+        else:
+            failed[orbit(chi, v)[0]] = left
+            stack.pop()
+            if not stack:
+                return None
+    return stack
+
+
+def _astar(start, v0, successors, step, estimate, bound) -> Optional[int]:
     """Cost of a cheapest walk from ``start`` that clears the residual ``v0``,
     or ``None`` if none fits in ``bound``.
 
-    ``successors(state, v, slack)`` yields ``(cost, child, v2)`` and may
-    leave out children whose cost plus estimate cannot fit the slack
-    ``bound - g``.  Children whose residual goes negative or whose
-    cost-plus-estimate exceeds ``bound`` are dropped.  The estimator is
-    consistent, so each state is settled once at its exact distance, the
-    first state popped with a zero residual ends the search, and any bound
-    at or above the answer gives the same answer.  Equal estimates pop
-    deepest first, which walks straight down the tight-estimate corridor.
-    It serves the path order and the lattice bound, not the witness walk.
+    ``successors`` and ``step`` are as in :func:`_make_moves` and
+    :func:`_make_step`; a child with a negative residual or over ``bound``
+    is dropped.  The estimator is consistent, so the first zero residual
+    popped is exact.  It serves the lattice bound, whose states many roots reach.
     """
-    h0 = estimate(v0)
-    if h0 > bound:
-        return None
-    heap = [(h0, 0, start, v0)]
+    heap = [(estimate(v0), 0, start, v0)]
     settled = set()
     while heap:
-        f, negg, state, v = heapq.heappop(heap)
+        _, negg, state, v = heapq.heappop(heap)
         if state in settled:
             continue
         if not any(v):
             return -negg
         settled.add(state)
         g = -negg
-        for r, child, v2 in successors(state, v, bound - g):
+        for r, k in successors(state, v, bound - g):
+            child, v2 = step(state, v, r, k)
             if min(v2) < 0 or child in settled:
                 continue
-            h = estimate(v2)
-            if g + r + h > bound:
-                continue
-            heapq.heappush(heap, (g + r + h, -(g + r), child, v2))
+            f = g + r + estimate(v2)
+            if f <= bound:
+                heapq.heappush(heap, (f, -(g + r), child, v2))
     return None
 
 
@@ -397,27 +414,24 @@ def _same(chi, v):
     return chi, v
 
 
-def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
-    """Successors ``(cost, child, v2)`` of a Levi-dominant state.
+def _make_moves(rs: RootSystem, usable: int, levi, ladder):
+    """Steps ``(r, k)`` along positive root k from a Levi-dominant state
+    ``(chi, v)`` under a slack, lazily and highest root first.
 
     ``usable`` is the bitset of usable roots (see :func:`_reflection_tables`).
     A ladder step costs r = <chi, beta^vee> in 1..``slack`` and subtracts
     r*beta; its residual stays nonnegative, as every ladder state lies in
     the W-orbit of the antidominant -omega_d and so above it.  A unit step
     costs 1 and subtracts beta.  Both keep only the usable roots that fit
-    under v, and of each orbit of the stabilizer of chi, generated by the
-    s_i, i in ``levi``, with chi_i = 0, only the member outside every such
-    ``blocked[i]``.  A unit step also keeps only roots whose child can
-    still meet the slack: canonicalizing only raises v, so the child's
-    estimate is at least max_j ceil((v_j - beta_j) / theta_j), and a root
-    with beta_j < v_j - (slack - 1)*theta_j has 1 + h(child) > slack.
-    Children are canonicalized and the cheapest step to each is kept.
-    With ``levi`` empty and ``canon`` the identity these are the plain
-    steps between single states.
+    under v, and of each orbit of the stabilizer of chi (the s_i, i in
+    ``levi``, with chi_i = 0) only the member outside every ``blocked[i]``.
+    A unit step also drops roots whose child cannot meet the slack: as
+    canonicalizing only raises v, beta_j < v_j - (slack - 1)*theta_j gives
+    1 + h(child) > slack.  The caller builds the children it tries
+    (:func:`_make_step`); they may repeat an orbit.
     """
     _, blocked, atleast, tops = _reflection_tables(rs.rst)
-    coroots, funds, roots = rs._coroots, rs._fund_coords, rs.positive_roots
-    theta = roots[-1]
+    coroots, theta = rs._coroots, rs.positive_roots[-1]
 
     def successors(chi, v, slack):
         mask = usable
@@ -427,35 +441,37 @@ def _make_moves(rs: RootSystem, usable: int, levi, canon, ladder):
         for j, vj in enumerate(v):
             if vj < tops[j]:
                 mask &= ~atleast[j][vj + 1]
-            if not ladder:
-                t = vj - (slack - 1) * theta[j]
-                if t > 0:
-                    mask &= atleast[j][min(t, tops[j])]
-        best = {}
+            if not ladder and (t := vj - (slack - 1) * theta[j]) > 0:
+                mask &= atleast[j][min(t, tops[j])]
         while mask:
-            low = mask & -mask
-            mask ^= low
-            k = low.bit_length() - 1
-            if ladder:
-                r = sum(map(mul, chi, coroots[k]))
-                if not 0 < r <= slack:
-                    continue
-                child, v2 = canon(tuple(a - r * b for a, b in zip(chi, funds[k])),
-                                  tuple(a - r * b for a, b in zip(v, roots[k])))
-            else:
-                r = 1
-                child, v2 = canon(tuple(map(sub, chi, funds[k])), tuple(map(sub, v, roots[k])))
-            if child not in best or r < best[child][0]:
-                best[child] = (r, v2)
-        return [(r, child, v2) for child, (r, v2) in best.items()]
+            k = mask.bit_length() - 1
+            mask ^= 1 << k
+            if not ladder:
+                yield 1, k
+            elif 0 < (r := sum(map(mul, chi, coroots[k]))) <= slack:
+                yield r, k
 
     return successors
+
+
+def _make_step(rs: RootSystem, canon):
+    """``step(chi, v, r, k)``: ``canon`` of ``(chi, v)`` less r times positive root k."""
+    funds, roots = rs._fund_coords, rs.positive_roots
+
+    def step(chi, v, r, k):
+        f, b = funds[k], roots[k]
+        if r != 1:
+            f, b = [r * x for x in f], [r * x for x in b]
+        return canon(tuple(map(sub, chi, f)), tuple(map(sub, v, b)))
+
+    return step
 
 
 class _Search(namedtuple("_Search", [
     "walk",      # the ladder on single weights
     "ladder",    # the ladder on orbits
     "subtract",  # unit root subtraction on orbits
+    "step",      # the step between orbits
     "estimate",
     "canon",
 ])):
@@ -464,29 +480,21 @@ class _Search(namedtuple("_Search", [
 
 @lru_cache(maxsize=None)
 def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
-    """The searches' successors, estimator and canonicalizer at d.
+    """The searches' successors, steps, estimator and canonicalizer at d.
 
-    Both searches carry a state ``(chi, v)``: a weight in fundamental
-    coordinates and a residual in root coordinates.  The path order walks
-    chi -> s_beta(chi) = chi - r*beta at cost r = <chi, beta^vee> >= 1,
-    with v the root coordinates of chi + omega_d, so v reaches zero
-    exactly at -omega_d; the lattice bound subtracts one usable root at
-    unit cost, with chi the residual's own weight.
+    Both searches carry a state ``(chi, v)``: a weight in fundamental and
+    a residual in root coordinates.  The path order steps chi to
+    s_beta(chi) = chi - r*beta at cost r = <chi, beta^vee> >= 1, with v
+    those of chi + omega_d, zero exactly at -omega_d; the lattice bound
+    subtracts one usable root at unit cost, with chi the residual's weight.
 
-    The Levi Weyl group W_L, generated by the s_i with i != d, permutes the
-    usable roots, fixes omega_d and keeps every pairing <chi, beta^vee>, so
-    both distances are W_L-invariant.  ``ladder`` and ``subtract`` therefore
-    settle one state per W_L-orbit, its Levi-dominant point ``canon(chi,
-    v)``; ``walk`` is the ladder on single weights, which the witness
-    follows.  ``canon`` only raises v, and the estimator's epsilon part is
-    W_L-invariant, so no estimate drops across it and the estimator stays
-    consistent on orbit steps.  Relaxed searches also step along Levi
-    roots, which W_L does not permute, so there ``canon`` is the identity
-    and no step is skipped.
-
-    The usable roots are one bitset, ``atleast[d-1][1]`` of
-    :func:`_reflection_tables` (every root when relaxed), which the
-    successors narrow per state; see :func:`_make_moves`.
+    Both distances are W_L-invariant, so ``ladder`` and ``subtract`` run
+    on one state per W_L-orbit, its Levi-dominant point ``canon(chi, v)``,
+    where ``step`` lands; ``walk`` is the ladder on single weights, which
+    the witness follows.  ``canon`` only raises v, and the estimator's
+    epsilon part is W_L-invariant, so the estimator stays consistent on
+    orbit steps.  Relaxed searches also step along Levi roots, so there
+    ``canon`` is the identity.
     """
     rs = build(rst)
     cols, _, atleast, _ = _reflection_tables(rst)
@@ -496,56 +504,44 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
         usable, levi = atleast[d - 1][1], tuple(i for i in range(rs.rank) if i != d - 1)
         canon = _make_canon(cols, levi)
     return _Search(
-        walk=_make_moves(rs, usable, (), _same, True),
-        ladder=_make_moves(rs, usable, levi, canon, True),
-        subtract=_make_moves(rs, usable, levi, canon, False),
+        walk=_make_moves(rs, usable, (), True),
+        ladder=_make_moves(rs, usable, levi, True),
+        subtract=_make_moves(rs, usable, levi, False),
+        step=_make_step(rs, canon),
         estimate=_estimator(rst),
         canon=canon,
     )
 
 
 def _estimator_bounds(rs: RootSystem):
-    """Largest j-coefficient of a usable root per j, and in the classical
-    families the largest epsilon L1 norm of one (0 elsewhere), at every d.
-
-    Both are the highest root's: it has full support, so it is usable at
-    every d, relaxed or not, and it dominates every positive root
-    coefficient by coefficient.  Its epsilon L1 norm is 2, the most any
-    root of the classical realizations has.
-    """
-    theta = rs.positive_roots[-1]
-    if rs.rst.family not in "ABCD":
-        return theta, 0
-    return theta, sum(map(abs, eps_from_root_coords(rs.rst, theta)))
+    """Largest j-coefficient of a usable root per j, and in A-D the largest
+    epsilon L1 norm of one (else 0), at every d: the highest root's, which
+    has full support and dominates every positive root, with norm 2."""
+    theta, l1 = rs.positive_roots[-1], _eps_l1(rs.rst.family)
+    return theta, l1(theta) if l1 else 0
 
 
 @lru_cache(maxsize=None)
 def _estimator(rst: RootSystemType):
     """Admissible lower bound on the cost still needed to clear a residual.
 
-    Combines two arguments: per simple index j, the residual coefficient
-    divided by the largest j-coefficient among the usable roots; and, in
-    the classical families, the L1 norm of the residual in epsilon
-    coordinates divided by the largest L1 norm of a usable root, since
-    each unit of cost moves at most that many epsilon units.  Both
-    constants come from the highest root (:func:`_estimator_bounds`),
-    whose full support also means no residual is declared hopeless.  It
-    is the same at every d, so it is built once per system.
+    The larger of: per simple index j, the residual coefficient over the
+    largest j-coefficient of a usable root; and, in the classical families,
+    the residual's epsilon L1 norm (``_eps_l1``) over the largest of a
+    usable root, since each unit of cost moves at most that many epsilon
+    units.  Both constants are the highest root's
+    (:func:`_estimator_bounds`) at every d, so it is built once per system.
     """
     maxcoef, maxstep = _estimator_bounds(build(rst))
+    l1 = _eps_l1(rst.family)
 
     def estimate(v) -> int:
         h = 0
         for vj, mj in zip(v, maxcoef):
-            if vj > 0:
-                q = -(-vj // mj)
-                if q > h:
-                    h = q
-        if maxstep:
-            l1 = sum(map(abs, eps_from_root_coords(rst, v)))
-            q = -(-l1 // maxstep)
-            if q > h:
-                h = q
+            if vj > h * mj:  # ceil(vj / mj) > h
+                h = -(-vj // mj)
+        if maxstep and (q := -(-l1(v) // maxstep)) > h:
+            h = q
         return h
 
     return estimate
@@ -553,16 +549,18 @@ def _estimator(rst: RootSystemType):
 
 @lru_cache(maxsize=None)
 def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
+    # Iterative deepening on orbits under one memo.  A step of cost r
+    # subtracts r*beta with ht(beta) >= 1, so m <= ht(v); the estimate is
+    # admissible, so the first bound from it up that a walk fits in is m.
     search = _search_data(rst, d, relaxed)
     tw, source = _target_cached(rst, parab, d)
-    start = search.canon(source, tw.root_coords)
-    # Each step of cost r subtracts r*beta with ht(beta) >= 1, so m is at
-    # most the start residual's height: a ceiling that leaves m unchanged.
-    m = _astar(*start, search.ladder, search.estimate, sum(start[1]))
-    if m is None:
-        raise InternalInconsistencyError(
-            f"{rst} P={sorted(parab.omitted)} d={d}: path order: no path within ceiling {sum(start[1])}")
-    return m
+    chi, v = search.canon(source, tw.root_coords)
+    failed = {}
+    for bound in range(search.estimate(v), sum(v) + 1):
+        if _depth_first(chi, v, bound, search.ladder, search.step, _same, search.estimate, failed):
+            return bound
+    raise InternalInconsistencyError(
+        f"{rst} P={sorted(parab.omitted)} d={d}: path order: no path within ceiling {sum(v)}")
 
 
 def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False) -> int:
@@ -575,37 +573,29 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
     """One canonical cheapest path as ``(cost, steps, nodes)``.
 
     ``steps`` is a tuple of ``(root_coords, r)``; ``nodes`` the visited
-    weights from source to sink.  It is one depth-first walk on single
-    weights under the budget m: successors go in lexicographic order,
-    skipping any whose orbit's estimate exceeds the budget left or whose
-    orbit already failed with at least that budget.  Steps lower the
-    residual's height, the estimator is admissible and distances are
-    W_L-invariant, so the first path to reach the sink is the
-    lexicographically first cheapest one, reproducible run to run.
+    weights from source to sink.  It is one :func:`_depth_first` walk on
+    single weights under the budget m, trying successors in lexicographic
+    order of their weight and keeping only their ``(r, k)`` until tried.
+    Steps lower the residual's height, the estimator is admissible and
+    distances are W_L-invariant, so the first path to reach the sink is
+    the lexicographically first cheapest one, reproducible run to run.
     """
     rs._check_index(d)
     m = _dijkstra_cached(rs.rst, parabolic, d, bool(relaxed))
     search = _search_data(rs.rst, d, bool(relaxed))
+    funds = rs._fund_coords
 
-    def node(chi, v, left):
-        return chi, v, left, iter(sorted(search.walk(chi, v, left), key=lambda e: e[1]))
+    def children(chi, v, left):
+        # chi - r*beta ascending is r*beta descending: beta itself at r = 1.
+        return iter(sorted(search.walk(chi, v, left), reverse=True, key=lambda e: (
+            funds[e[1]] if e[0] == 1 else tuple([e[0] * x for x in funds[e[1]]]))))
 
     tw, source = _target_cached(rs.rst, parabolic, d)
-    stack = [node(source, tw.root_coords, m)]
-    failed = {}  # orbit -> largest budget it is known not to fit
-    while any(stack[-1][1]):
-        chi, v, left, todo = stack[-1]
-        for r, child, v2 in todo:
-            orbit, w = search.canon(child, v2)
-            if r + search.estimate(w) <= left and failed.get(orbit, -1) < left - r:
-                stack.append(node(child, v2, left - r))
-                break
-        else:
-            failed[search.canon(chi, v)[0]] = left
-            stack.pop()
-            if not stack:
-                raise InternalInconsistencyError(
-                    f"{rs.rst} P={sorted(parabolic.omitted)} d={d}: witness: no path within budget {m}")
+    stack = _depth_first(source, tw.root_coords, m, children, _make_step(rs, _same), search.canon,
+                         search.estimate, {})
+    if stack is None:
+        raise InternalInconsistencyError(
+            f"{rs.rst} P={sorted(parabolic.omitted)} d={d}: witness: no path within budget {m}")
     steps = tuple((tuple((a - b) // (g - h) for a, b in zip(v, v2)), g - h)
                   for (_, v, g, _), (_, v2, h, _) in zip(stack, stack[1:]))
     return m, steps, tuple(f[0] for f in stack)
@@ -618,17 +608,15 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
 @lru_cache(maxsize=None)
 def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
     # Shortest path in the lattice-point DAG: states are the nonnegative
-    # residuals below the target, each edge subtracts one usable root at
-    # unit cost.  Exact by exhaustion; no ladder constraint.  The target's
-    # weight is its residual's weight, the lattice state's chi.  The bound
-    # widens from the start's estimate, which is usually already exact, so
-    # each expansion generates only the children that can still meet it;
-    # the cheapest ladder is a decomposition into m <= ht(v0) usable roots.
+    # residuals below the target, with their own weights as chi, and each
+    # edge subtracts one usable root at unit cost; no ladder constraint.
+    # The bound widens from the start's estimate, usually exact, up to
+    # ht(v0), which the cheapest ladder, itself a decomposition, fits in.
     search = _search_data(rst, d, relaxed)
     tw = _target_cached(rst, parab, d)[0]
     start, v0 = search.canon(tw.value, tw.root_coords)
     for bound in range(search.estimate(v0), sum(v0) + 1):
-        m = _astar(start, v0, search.subtract, search.estimate, bound)
+        m = _astar(start, v0, search.subtract, search.step, search.estimate, bound)
         if m is not None:
             return m
     raise InternalInconsistencyError(

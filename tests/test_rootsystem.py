@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylpath import Parabolic, RootSystemError, RootSystemType, build, verify
-from weylpath.rootsystem import eps_from_root_coords, root_coords_from_eps
+from weylpath.rootsystem import _eps_l1, eps_from_root_coords, root_coords_from_eps
 
 ALL_LABELS = (
     [f"A{n}" for n in range(1, 13)]
@@ -348,3 +348,18 @@ def test_eps_round_trip_on_random_lattice_vectors():
         for _ in range(40):
             v = tuple(rng.randint(-9, 9) for _ in range(rst.rank))
             assert root_coords_from_eps(rst, eps_from_root_coords(rst, v)) == v, (label, v)
+
+
+def test_eps_l1_matches_epsilon_coordinates():
+    # The search estimator's epsilon L1 norm, read straight from root
+    # coordinates without building the epsilon vector.
+    rng = random.Random("eps-l1")
+    for label in ALL_LABELS:
+        rst = RootSystemType.parse(label)
+        l1 = _eps_l1(rst.family)
+        if rst.family not in "ABCD":
+            assert l1 is None, label
+            continue
+        for _ in range(50):
+            v = tuple(rng.randint(-6, 6) for _ in range(rst.rank))
+            assert l1(v) == sum(map(abs, eps_from_root_coords(rst, v))), (label, v)

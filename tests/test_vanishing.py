@@ -307,11 +307,14 @@ def _probe_walk(rs, parab, d, relaxed):
     cur, v, left = source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords, m
     steps, nodes, missed = [], [cur], set()
     while any(v):
-        for r, child, v2 in sorted(search.walk(cur, v, left), key=lambda e: e[1]):
+        children = sorted(((tuple(a - r * b for a, b in zip(cur, rs._fund_coords[k])),
+                            tuple(a - r * b for a, b in zip(v, rs.positive_roots[k]))), r)
+                          for r, k in search.walk(cur, v, left))
+        for (child, v2), r in children:
             start = search.canon(child, v2)
             if (start[0], left - r) in missed:
                 continue
-            if _astar(*start, search.ladder, search.estimate, left - r) == left - r:
+            if _astar(*start, search.ladder, search.step, search.estimate, left - r) == left - r:
                 break
             missed.add((start[0], left - r))
         else:
@@ -337,11 +340,12 @@ def test_witness_walk_matches_probe_walk(label, p, relaxed):
         assert shortest_path(rs, parab, d, relaxed) == _probe_walk(rs, parab, d, relaxed), d
 
 
-def test_witness_walk_runs_no_astar_once_the_order_is_cached(monkeypatch):
+def test_witness_walk_runs_no_astar(monkeypatch):
+    # The walk and the order it is budgeted by are both depth-first, so a
+    # cold witness runs no A* at all.
+    clear_caches()
     rs = build("E7")
     parab = P(7, 2)
-    for d in range(1, 8):
-        dijkstra_order(rs, parab, d)
 
     def no_astar(*args):
         raise AssertionError("shortest_path ran _astar")
@@ -350,6 +354,28 @@ def test_witness_walk_runs_no_astar_once_the_order_is_cached(monkeypatch):
     for d in range(1, 8):
         cost, steps, _ = shortest_path(rs, parab, d)
         assert sum(r for _, r in steps) == cost
+
+
+def test_order_runs_no_astar_and_lattice_does(monkeypatch):
+    clear_caches()
+    calls = []
+    astar = vanishing._astar
+
+    def counted(*args):
+        calls.append(args)
+        return astar(*args)
+
+    monkeypatch.setattr(vanishing, "_astar", counted)
+    for label, p in [("E7", 2), ("B6", 6), ("D6", 3), ("C5", 1)]:
+        rs = build(label)
+        for relaxed in (False, True):
+            for d in range(1, rs.rank + 1):
+                dijkstra_order(rs, P(rs.rank, p), d, relaxed)
+        assert not calls, label
+        for d in range(1, rs.rank + 1):
+            lattice_lower_bound(rs, P(rs.rank, p), d)
+        assert calls, label
+        calls.clear()
 
 
 def test_witness_walk_failure_names_configuration_layer_and_budget(monkeypatch):
@@ -448,6 +474,17 @@ def test_cells_with_lattice_below_order():
 
 # -- search estimator --------------------------------------------------------
 
+def _cheapest(search, moves, chi, v, slack):
+    # The orbit children of moves(chi, v, slack), which are neither built
+    # nor deduplicated: the cheapest step to each, sorted.
+    best = {}
+    for r, k in moves(chi, v, slack):
+        child, v2 = search.step(chi, v, r, k)
+        if child not in best or r < best[child][0]:
+            best[child] = (r, v2)
+    return sorted((r, child, v2) for child, (r, v2) in best.items())
+
+
 @pytest.mark.parametrize("label,p", [("A5", 3), ("B5", 5), ("C5", 1), ("D6", 3),
                                      ("E6", 4), ("F4", 2), ("G2", 1)])
 @pytest.mark.parametrize("relaxed", [False, True])
@@ -455,8 +492,8 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
     # A* ends at its first sink pop, which is exact only for a consistent
     # estimator: h(v) <= 1 + h(v - beta) for every usable beta, and
     # h(u) <= r + h(child) on every step of the orbit searches, whose
-    # children are canonicalized.  The witness walk in shortest_path needs
-    # only admissibility, the last assertion below.  The lattice search's
+    # children are canonicalized.  The depth-first order and witness walk
+    # need only admissibility, the last assertion below.  The lattice search's
     # slack filter may drop only children that cannot fit the slack.
     rng = random.Random(f"{label}/{p}/{relaxed}")
     rs = build(label)
@@ -488,7 +525,7 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                 u, w = canon(*state)
                 hu = estimate(w)
                 assert min(w) >= 0 and hu is not None and hu >= estimate(v)
-                for r, child, w2 in moves(u, w, sum(w)):
+                for r, child, w2 in _cheapest(search, moves, u, w, sum(w)):
                     assert canon(child, w2) == (child, w2)
                     h2 = estimate(w2)
                     if h2 is not None:
@@ -496,16 +533,17 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
             # Under a slack, unit subtraction keeps exactly the children
             # the bound could still take and returns nothing new.
             u, w = canon(fund, v)
-            full = search.subtract(u, w, sum(w))
+            full = set(search.subtract(u, w, sum(w)))
             for slack in range(1, estimate(w) + 3):
-                got = search.subtract(u, w, slack)
-                assert set(got) <= set(full), (d, u, slack)
-                assert {e for e in full if 1 + estimate(e[2]) <= slack} <= set(got), (d, u, slack)
+                got = set(search.subtract(u, w, slack))
+                assert got <= full, (d, u, slack)
+                assert {e for e in full if 1 + estimate(search.step(u, w, *e)[1]) <= slack} <= got, \
+                    (d, u, slack)
         # Random walks of plain ladder steps from the source meet only
         # states in the W-orbit of the antidominant -omega_d, whose
         # residuals lie above it.  There every usable root with r >= 1 fits
         # under the residual, so no ladder child goes negative, and the
-        # masked ladder returns exactly the plain ladder's cheapest children.
+        # masked ladder leads to exactly the plain ladder's cheapest children.
         for _ in range(12):
             chi, v = source_weight(rs, parab, d), T
             while any(v):
@@ -521,8 +559,8 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                     if child not in plain or r < plain[child][0]:
                         plain[child] = (r, w2)
                     steps.append((r, beta))
-                got = search.ladder(u, w, sum(w))
-                assert sorted(got) == sorted((r, c, w2) for c, (r, w2) in plain.items()), (d, u)
+                got = _cheapest(search, search.ladder, u, w, sum(w))
+                assert got == sorted((r, c, w2) for c, (r, w2) in plain.items()), (d, u)
                 r, beta = rng.choice(steps)
                 chi, v = rs.reflect_by_root(beta, u), tuple(a - r * b for a, b in zip(w, beta))
         assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
@@ -571,25 +609,30 @@ def test_estimator_bounds_match_scan_over_usable_roots(label):
 def _plain_orders(rs, parab, d, relaxed):
     # The order and the lattice bound searched one state at a time: the
     # ladder and unit root subtraction over every usable root, no orbits.
-    edges = [(rs._coroots[k], rs._fund_coords[k], rs.positive_roots[k])
-             for k in allowed_root_indices(rs, d, relaxed)]
+    usable = allowed_root_indices(rs, d, relaxed)
 
     def ladder(chi, v, _):
-        for cv, fk, rc in edges:
-            r = sum(a * b for a, b in zip(chi, cv))
+        for k in usable:
+            r = sum(a * b for a, b in zip(chi, rs._coroots[k]))
             if r >= 1:
-                yield (r, tuple(a - r * b for a, b in zip(chi, fk)),
-                       tuple(a - r * b for a, b in zip(v, rc)))
+                yield r, k
 
     def subtract(v, _, __):
-        for _, _, rc in edges:
-            v2 = tuple(a - b for a, b in zip(v, rc))
-            yield 1, v2, v2
+        for k in usable:
+            yield 1, k
+
+    def step(chi, v, r, k):
+        return (tuple(a - r * b for a, b in zip(chi, rs._fund_coords[k])),
+                tuple(a - r * b for a, b in zip(v, rs.positive_roots[k])))
+
+    def unit(v, _, r, k):
+        v2 = step(v, v, r, k)[1]
+        return v2, v2
 
     estimate = _search_data(rs.rst, d, relaxed).estimate
     T = target_weight(rs, parab, d).root_coords
-    return (_astar(source_weight(rs, parab, d), T, ladder, estimate, sum(T)),
-            _astar(T, T, subtract, estimate, sum(T)))
+    return (_astar(source_weight(rs, parab, d), T, ladder, step, estimate, sum(T)),
+            _astar(T, T, subtract, unit, estimate, sum(T)))
 
 
 EQUIVALENCE_CONFIGS = [(label, p) for label in TARGET_LABELS if label != "E8"
@@ -603,6 +646,20 @@ def test_orbit_search_matches_plain_search(label, p):
     for d in range(1, rs.rank + 1):
         got = (dijkstra_order(rs, parab, d), lattice_lower_bound(rs, parab, d))
         assert got == _plain_orders(rs, parab, d, False), (label, p, d)
+
+
+@pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_order_matches_astar_over_the_orbit_ladder(label, p, relaxed):
+    # The depth-first order, by iterative deepening, against the heap
+    # search over the same ladder, estimator and ceiling.
+    rs = build(label)
+    parab = P(rs.rank, p)
+    for d in range(1, rs.rank + 1):
+        search = _search_data(rs.rst, d, relaxed)
+        start = search.canon(source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords)
+        want = _astar(*start, search.ladder, search.step, search.estimate, sum(start[1]))
+        assert dijkstra_order(rs, parab, d, relaxed) == want, (label, p, d)
 
 
 @pytest.mark.parametrize("label,p", [("A5", 3), ("B4", 4), ("C4", 1), ("D5", 2),
