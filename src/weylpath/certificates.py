@@ -19,6 +19,7 @@ from the canonical cheapest path.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, root_coords_from_eps,
@@ -104,7 +105,7 @@ def _exceptional_entries(table, d):
 # diagram flips
 # ---------------------------------------------------------------------------
 
-def _flip_permutation(rst: RootSystemType) -> Optional[dict]:
+def _flip_permutation(rst: RootSystemType) -> dict | None:
     """Nontrivial diagram automorphism as an index map, where one exists."""
     n = rst.rank
     if rst.family == "A" and n >= 2:
@@ -213,7 +214,7 @@ def _catalog_covers(rs: RootSystem, p: int) -> bool:
     return rs.rst.family != "B" and p in cominuscule_indices(rs)
 
 
-def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Optional[Certificate]:
+def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate | None:
     """The tabulated certificate for this configuration, or None.
 
     Coverage: every cominuscule parabolic except the odd quadric B_n/P1.

@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat

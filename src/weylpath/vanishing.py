@@ -36,16 +36,16 @@ The Levi Weyl group W_L at d (the s_i, i != d) permutes the usable
 roots, fixes omega_d and keeps every pairing <chi, beta^vee>, so the
 path and lattice distances are W_L-invariant and their searches run on
 Levi-dominant points (:func:`_search_data`); relaxed searches also step
-along Levi roots, which W_L does not permute.  The path order and the
-witness are one depth-first routine (:func:`_depth_first`) with a memo
-of orbits that do not fit a budget: the order runs it on orbits under
-bounds deepened from its start's estimate to its start residual's
-height, the witness on single weights under the order.  The lattice
-search is a bounded A* (:func:`_astar`) widened alike.  Candidate roots
-come lazily, highest first, from per-system bitsets
+along Levi roots, which W_L does not permute.  Every search is one
+depth-first routine (:func:`_depth_first`) with a memo of orbits that
+do not fit a budget.  The path order (ladder steps) and the lattice
+bound (unit root subtractions) run it on orbits under budgets deepened
+from the start's estimate to the start residual's height
+(:func:`_deepen`); the witness runs it on single weights under the
+order.  Candidate roots come lazily from per-system bitsets
 (:func:`_reflection_tables`): the usable set at d, less the roots the
-stabilizer moves and those that do not fit under the residual, cut to
-the slack (:func:`_make_moves`).
+stabilizer moves, those that do not fit under the residual and those
+whose child cannot meet the slack (:func:`_make_moves`).
 
 The records :class:`TargetWeight`, :class:`Certificate`,
 :class:`CertificateValidation` and :class:`VanishingResult` are immutable
@@ -55,7 +55,6 @@ and compare equal to a plain tuple of the same values.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from collections import namedtuple
 from functools import lru_cache
@@ -381,42 +380,13 @@ def _depth_first(start, v0, budget, children, step, orbit, estimate, failed):
     return stack
 
 
-def _astar(start, v0, successors, step, estimate, bound) -> Optional[int]:
-    """Cost of a cheapest walk from ``start`` that clears the residual ``v0``,
-    or ``None`` if none fits in ``bound``.
-
-    ``successors`` and ``step`` are as in :func:`_make_moves` and
-    :func:`_make_step`; a child with a negative residual or over ``bound``
-    is dropped.  The estimator is consistent, so the first zero residual
-    popped is exact.  It serves the lattice bound, whose states many roots reach.
-    """
-    heap = [(estimate(v0), 0, start, v0)]
-    settled = set()
-    while heap:
-        _, negg, state, v = heapq.heappop(heap)
-        if state in settled:
-            continue
-        if not any(v):
-            return -negg
-        settled.add(state)
-        g = -negg
-        for r, k in successors(state, v, bound - g):
-            child, v2 = step(state, v, r, k)
-            if min(v2) < 0 or child in settled:
-                continue
-            f = g + r + estimate(v2)
-            if f <= bound:
-                heapq.heappush(heap, (f, -(g + r), child, v2))
-    return None
-
-
 def _same(chi, v):
     return chi, v
 
 
 def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     """Steps ``(r, k)`` along positive root k from a Levi-dominant state
-    ``(chi, v)`` under a slack, lazily and highest root first.
+    ``(chi, v)`` under a slack, lazily.
 
     ``usable`` is the bitset of usable roots (see :func:`_reflection_tables`).
     A ladder step costs r = <chi, beta^vee> in 1..``slack`` and subtracts
@@ -425,10 +395,15 @@ def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     costs 1 and subtracts beta.  Both keep only the usable roots that fit
     under v, and of each orbit of the stabilizer of chi (the s_i, i in
     ``levi``, with chi_i = 0) only the member outside every ``blocked[i]``.
-    A unit step also drops roots whose child cannot meet the slack: as
-    canonicalizing only raises v, beta_j < v_j - (slack - 1)*theta_j gives
-    1 + h(child) > slack.  The caller builds the children it tries
-    (:func:`_make_step`); they may repeat an orbit.
+    Both also drop, before any pairing, the roots whose child cannot meet
+    the slack: for r >= 1 and beta_j <= theta_j, beta_j < v_j - (slack - 1)*theta_j
+    leaves v_j - r*beta_j > (slack - r)*theta_j, and canonicalizing only
+    raises v, so r + h(child) > slack.  Unit steps come lowest root first
+    and ladder steps highest root first: in both searches that order
+    builds the fewest children before one fits (measured; on every E8
+    cell the lattice search dives with one child per unit of its bound).
+    The caller builds the children it tries (:func:`_make_step`); they may
+    repeat an orbit.
     """
     _, blocked, atleast, tops = _reflection_tables(rs.rst)
     coroots, theta = rs._coroots, rs.positive_roots[-1]
@@ -441,14 +416,17 @@ def _make_moves(rs: RootSystem, usable: int, levi, ladder):
         for j, vj in enumerate(v):
             if vj < tops[j]:
                 mask &= ~atleast[j][vj + 1]
-            if not ladder and (t := vj - (slack - 1) * theta[j]) > 0:
+            if (t := vj - (slack - 1) * theta[j]) > 0:
                 mask &= atleast[j][min(t, tops[j])]
+        if not ladder:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                yield 1, low.bit_length() - 1
         while mask:
             k = mask.bit_length() - 1
             mask ^= 1 << k
-            if not ladder:
-                yield 1, k
-            elif 0 < (r := sum(map(mul, chi, coroots[k]))) <= slack:
+            if 0 < (r := sum(map(mul, chi, coroots[k]))) <= slack:
                 yield r, k
 
     return successors
@@ -547,20 +525,30 @@ def _estimator(rst: RootSystemType):
     return estimate
 
 
-@lru_cache(maxsize=None)
-def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
-    # Iterative deepening on orbits under one memo.  A step of cost r
-    # subtracts r*beta with ht(beta) >= 1, so m <= ht(v); the estimate is
-    # admissible, so the first bound from it up that a walk fits in is m.
-    search = _search_data(rst, d, relaxed)
-    tw, source = _target_cached(rst, parab, d)
-    chi, v = search.canon(source, tw.root_coords)
+def _deepen(search, moves, chi, v, missing: str) -> int:
+    """The least budget within which a :func:`_depth_first` walk of ``moves``
+    from ``(chi, v)`` clears v, by iterative deepening under one memo.
+
+    The budget rises by one from the start's estimate; the estimate is
+    admissible and every step lowers the residual's height, so the first
+    budget that a walk fits in is the distance.  ``missing`` names the
+    search in the error raised when none fits under the ceiling ht(v).
+    """
     failed = {}
     for bound in range(search.estimate(v), sum(v) + 1):
-        if _depth_first(chi, v, bound, search.ladder, search.step, _same, search.estimate, failed):
+        if _depth_first(chi, v, bound, moves, search.step, _same, search.estimate, failed):
             return bound
-    raise InternalInconsistencyError(
-        f"{rst} P={sorted(parab.omitted)} d={d}: path order: no path within ceiling {sum(v)}")
+    raise InternalInconsistencyError(f"{missing} within ceiling {sum(v)}")
+
+
+@lru_cache(maxsize=None)
+def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
+    # The ladder on orbits, deepened: a step of cost r subtracts r*beta
+    # with ht(beta) >= 1, so m <= ht(v), the ceiling of the deepening.
+    search = _search_data(rst, d, relaxed)
+    tw, source = _target_cached(rst, parab, d)
+    return _deepen(search, search.ladder, *search.canon(source, tw.root_coords),
+                   f"{rst} P={sorted(parab.omitted)} d={d}: path order: no path")
 
 
 def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False) -> int:
@@ -610,17 +598,12 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool
     # Shortest path in the lattice-point DAG: states are the nonnegative
     # residuals below the target, with their own weights as chi, and each
     # edge subtracts one usable root at unit cost; no ladder constraint.
-    # The bound widens from the start's estimate, usually exact, up to
-    # ht(v0), which the cheapest ladder, itself a decomposition, fits in.
+    # Deepened from the start's estimate, usually exact, up to ht(v0),
+    # which the cheapest ladder, itself a decomposition, fits in.
     search = _search_data(rst, d, relaxed)
     tw = _target_cached(rst, parab, d)[0]
-    start, v0 = search.canon(tw.value, tw.root_coords)
-    for bound in range(search.estimate(v0), sum(v0) + 1):
-        m = _astar(start, v0, search.subtract, search.step, search.estimate, bound)
-        if m is not None:
-            return m
-    raise InternalInconsistencyError(
-        f"{rst} P={sorted(parab.omitted)} d={d}: lattice: no decomposition within ceiling {sum(v0)}")
+    return _deepen(search, search.subtract, *search.canon(tw.value, tw.root_coords),
+                   f"{rst} P={sorted(parab.omitted)} d={d}: lattice: no decomposition")
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
@@ -638,7 +621,7 @@ def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
 # distinguished-coefficient lower bound
 # ---------------------------------------------------------------------------
 
-def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> Optional[int]:
+def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> int | None:
     """Cominuscule simple index whose target coefficient attains m_d, or None.
 
     That is p itself when the omitted index p is cominuscule, and in type
@@ -656,7 +639,7 @@ def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> Optiona
     return None
 
 
-def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> Optional[int]:
+def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int | None:
     """Coefficient of the distinguished simple root in the target weight.
 
     Defined on the catalog's coverage, every cominuscule parabolic except
@@ -842,7 +825,7 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
 
 
 def vanishing_result(rs: RootSystem, parabolic: Parabolic, d: int,
-                     certificate_cost: Optional[int] = None,
+                     certificate_cost: int | None = None,
                      relaxed_extra: bool = False) -> VanishingResult:
     """Assemble all routes to m_d and check that the defined ones agree."""
     m = dijkstra_order(rs, parabolic, d)

@@ -9,6 +9,7 @@ weight rho, which is how :func:`words_equal` tests equality.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 
 from .rootsystem import Parabolic, Root, RootSystem, RootSystemError, Weight
 

@@ -1,5 +1,9 @@
+import heapq
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from weylpath import vanishing
 from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
 from weylpath.rootsystem import eps_from_root_coords
 from weylpath.vanishing import (
-    InternalInconsistencyError, TargetWeight, _astar, _estimator_bounds, _search_data,
+    InternalInconsistencyError, TargetWeight, _estimator_bounds, _search_data,
     allowed_root_indices,
 )
 
@@ -298,6 +302,31 @@ def test_witness_path_is_deterministic():
     assert first == again
 
 
+def _best_first(start, v0, successors, step, estimate, bound):
+    # The heap search that the depth-first routine replaced, kept as a
+    # reference: A* from ``start`` to a zero residual within ``bound``,
+    # dropping children with a negative residual.  The estimator is
+    # consistent, so the first zero residual popped is exact.
+    heap = [(estimate(v0), 0, start, v0)]
+    settled = set()
+    while heap:
+        _, negg, state, v = heapq.heappop(heap)
+        if state in settled:
+            continue
+        if not any(v):
+            return -negg
+        settled.add(state)
+        g = -negg
+        for r, k in successors(state, v, bound - g):
+            child, v2 = step(state, v, r, k)
+            if min(v2) < 0 or child in settled:
+                continue
+            f = g + r + estimate(v2)
+            if f <= bound:
+                heapq.heappush(heap, (f, -(g + r), child, v2))
+    return None
+
+
 def _probe_walk(rs, parab, d, relaxed):
     # The witness walk the depth-first walk replaced: greedy steps, each
     # successor proved by its own A* from its orbit, bounded by the budget
@@ -314,7 +343,8 @@ def _probe_walk(rs, parab, d, relaxed):
             start = search.canon(child, v2)
             if (start[0], left - r) in missed:
                 continue
-            if _astar(*start, search.ladder, search.step, search.estimate, left - r) == left - r:
+            cost = _best_first(*start, search.ladder, search.step, search.estimate, left - r)
+            if cost == left - r:
                 break
             missed.add((start[0], left - r))
         else:
@@ -340,42 +370,41 @@ def test_witness_walk_matches_probe_walk(label, p, relaxed):
         assert shortest_path(rs, parab, d, relaxed) == _probe_walk(rs, parab, d, relaxed), d
 
 
-def test_witness_walk_runs_no_astar(monkeypatch):
-    # The walk and the order it is budgeted by are both depth-first, so a
-    # cold witness runs no A* at all.
-    clear_caches()
+def test_witness_walk_is_one_depth_first_walk(monkeypatch):
+    # With the order cached, a witness is a single depth-first walk under
+    # the budget m: no deepening and no other search.
     rs = build("E7")
     parab = P(7, 2)
+    for d in range(1, 8):
+        dijkstra_order(rs, parab, d)
+    budgets = []
+    walk = vanishing._depth_first
 
-    def no_astar(*args):
-        raise AssertionError("shortest_path ran _astar")
+    def counted(*args):
+        budgets.append(args[2])
+        return walk(*args)
 
-    monkeypatch.setattr(vanishing, "_astar", no_astar)
+    monkeypatch.setattr(vanishing, "_depth_first", counted)
     for d in range(1, 8):
         cost, steps, _ = shortest_path(rs, parab, d)
         assert sum(r for _, r in steps) == cost
+        assert budgets == [cost], d
+        budgets.clear()
 
 
-def test_order_runs_no_astar_and_lattice_does(monkeypatch):
-    clear_caches()
-    calls = []
-    astar = vanishing._astar
-
-    def counted(*args):
-        calls.append(args)
-        return astar(*args)
-
-    monkeypatch.setattr(vanishing, "_astar", counted)
-    for label, p in [("E7", 2), ("B6", 6), ("D6", 3), ("C5", 1)]:
-        rs = build(label)
-        for relaxed in (False, True):
-            for d in range(1, rs.rank + 1):
-                dijkstra_order(rs, P(rs.rank, p), d, relaxed)
-        assert not calls, label
-        for d in range(1, rs.rank + 1):
-            lattice_lower_bound(rs, P(rs.rank, p), d)
-        assert calls, label
-        calls.clear()
+def test_vanishing_defines_no_astar_and_imports_no_heapq():
+    # Every route runs the one depth-first routine; the heap search lives
+    # on only as the reference _best_first above.
+    assert not hasattr(vanishing, "_astar")
+    assert not [name for name, value in vars(vanishing).items()
+                if getattr(value, "__name__", None) == "heapq"
+                or getattr(value, "__module__", None) in ("heapq", "_heapq")]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import sys, weylpath; print('heapq' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=root,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_witness_walk_failure_names_configuration_layer_and_budget(monkeypatch):
@@ -566,6 +595,32 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
         assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
 
 
+def test_lattice_dives_one_child_per_unit_on_e8(monkeypatch):
+    # Unit steps come lowest root first: in every E8 cell the lattice
+    # search's first budget fits and its dive never backs up, so it makes
+    # one depth-first call and tries one child per unit of the bound.
+    clear_caches()
+    rs = build("E8")
+    tries = []
+    walk = vanishing._depth_first
+
+    def counted(start, v0, budget, children, step, *rest):
+        tries.append(0)
+
+        def counted_step(*args):
+            tries[-1] += 1
+            return step(*args)
+
+        return walk(start, v0, budget, children, counted_step, *rest)
+
+    monkeypatch.setattr(vanishing, "_depth_first", counted)
+    for p in range(1, 9):
+        for d in range(1, 9):
+            m = lattice_lower_bound(rs, P(8, p), d)
+            assert tries == [m], (p, d)
+            tries.clear()
+
+
 def test_order_is_at_most_the_start_residual_height():
     # Each ladder step of cost r subtracts r*beta with ht(beta) >= 1, so
     # m never exceeds the height of the residual it starts from, which is
@@ -631,8 +686,8 @@ def _plain_orders(rs, parab, d, relaxed):
 
     estimate = _search_data(rs.rst, d, relaxed).estimate
     T = target_weight(rs, parab, d).root_coords
-    return (_astar(source_weight(rs, parab, d), T, ladder, step, estimate, sum(T)),
-            _astar(T, T, subtract, unit, estimate, sum(T)))
+    return (_best_first(source_weight(rs, parab, d), T, ladder, step, estimate, sum(T)),
+            _best_first(T, T, subtract, unit, estimate, sum(T)))
 
 
 EQUIVALENCE_CONFIGS = [(label, p) for label in TARGET_LABELS if label != "E8"
@@ -658,8 +713,78 @@ def test_order_matches_astar_over_the_orbit_ladder(label, p, relaxed):
     for d in range(1, rs.rank + 1):
         search = _search_data(rs.rst, d, relaxed)
         start = search.canon(source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords)
-        want = _astar(*start, search.ladder, search.step, search.estimate, sum(start[1]))
+        want = _best_first(*start, search.ladder, search.step, search.estimate, sum(start[1]))
         assert dijkstra_order(rs, parab, d, relaxed) == want, (label, p, d)
+
+
+@pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_lattice_matches_best_first_over_orbits(label, p, relaxed):
+    # The lattice bound, by iterative deepening, against the heap search
+    # over the same unit subtractions, estimator and ceiling.
+    rs = build(label)
+    parab = P(rs.rank, p)
+    for d in range(1, rs.rank + 1):
+        search = _search_data(rs.rst, d, relaxed)
+        tw = target_weight(rs, parab, d)
+        start = search.canon(tw.value, tw.root_coords)
+        want = _best_first(*start, search.subtract, search.step, search.estimate, sum(start[1]))
+        assert lattice_lower_bound(rs, parab, d, relaxed) == want, (label, p, d)
+
+
+# The interior nodes where the order backs up most, and classical
+# configurations with lattice < order, unrelaxed and relaxed.
+SLACK_CASES = [(label, p, False) for label, p in [
+    ("E6", 4), ("E7", 2), ("E7", 3), ("E7", 4), ("E7", 5), ("F4", 2), ("B6", 6), ("C5", 1),
+    ("D6", 3)]] + [(label, p, True) for label, p in [("B6", 6), ("C5", 1), ("D6", 3), ("E6", 4)]]
+
+
+@pytest.mark.parametrize("label,p,relaxed", SLACK_CASES)
+def test_slack_filter_keeps_every_child_that_fits(monkeypatch, label, p, relaxed):
+    # At every state the order and the witness visit, each step whose
+    # canonical child fits the budget left, r + h(child) <= left, is
+    # offered.  The reference pairs chi with every usable root, unfiltered;
+    # the orbit ladder keeps one root per stabilizer orbit, so there the
+    # canonical children are compared.
+    clear_caches()
+    rs = build(label)
+    parab = P(rs.rank, p)
+    seen = []
+    walk = vanishing._depth_first
+
+    def recorded(start, v0, budget, children, *rest):
+        def visit(chi, v, left):
+            seen.append((chi, v, left))
+            return children(chi, v, left)
+        return walk(start, v0, budget, visit, *rest)
+
+    monkeypatch.setattr(vanishing, "_depth_first", recorded)
+    for d in range(1, rs.rank + 1):
+        search = _search_data(rs.rst, d, relaxed)
+        usable = [(k, rs.positive_roots[k], rs._fund_coords[k])
+                  for k in allowed_root_indices(rs, d, relaxed)]
+        dijkstra_order(rs, parab, d, relaxed)
+        order = seen[:]
+        seen.clear()
+        shortest_path(rs, parab, d, relaxed)
+        for states, moves in ((order, search.ladder), (seen, search.walk)):
+            for chi, v, left in states:
+                fits = set()
+                for k, beta, f in usable:
+                    r = rs.pairing(chi, beta)
+                    if r >= 1:
+                        child, w = search.canon(tuple(a - r * b for a, b in zip(chi, f)),
+                                                tuple(a - r * b for a, b in zip(v, beta)))
+                        if r + search.estimate(w) <= left:
+                            fits.add((r, k, child))
+                got = set(moves(chi, v, left))
+                if moves is search.walk:
+                    assert {(r, k) for r, k, _ in fits} <= got, (d, chi, left)
+                else:
+                    assert {(r, c) for r, _, c in fits} <= \
+                        {(r, search.step(chi, v, r, k)[0]) for r, k in got}, (d, chi, left)
+        assert order and seen, d
+        seen.clear()
 
 
 @pytest.mark.parametrize("label,p", [("A5", 3), ("B4", 4), ("C4", 1), ("D5", 2),
