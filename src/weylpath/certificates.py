@@ -221,6 +221,7 @@ def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certifi
     Other configurations (including every odd orthogonal spin case) have
     no tabulated tuple and return None.
     """
+    rs._check_parabolic(parabolic)
     rs._check_index(d)
     p = parabolic.omitted_index
     if not _catalog_covers(rs, p):

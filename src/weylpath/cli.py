@@ -118,37 +118,35 @@ def _cmd_tau(args) -> int:
     return 0
 
 
+# The clauses of a certificate check, in the order both formats print them.
+_CLAUSES = ("roots_ok", "outside_levi", "sum_matches", "orthogonal",
+            "ladder_uniform", "ladder_sequential", "cost_matches")
+
+
 def _cmd_check_cert(args) -> int:
     cert = load_certificate(args.file)
     rs = build(cert.rst)
     rep = check_certificate(rs, cert)
-    payload = {
-        "family": cert.rst.family,
-        "rank": cert.rst.rank,
-        "parabolic_omitted_index": cert.omitted,
-        "d": cert.d,
-        "cost": rep.cost,
-        "dijkstra": rep.dijkstra,
-        "c_alpha": rep.c_alpha,
-        "roots_ok": rep.roots_ok,
-        "outside_levi": rep.outside_levi,
-        "sum_matches": rep.sum_matches,
-        "orthogonal": rep.orthogonal,
-        "ladder_uniform": rep.ladder_uniform,
-        "ladder_sequential": rep.ladder_sequential,
-        "cost_matches": rep.cost_matches,
-        "valid": rep.valid,
-        "strict": rep.strict,
-        "failures": list(rep.failures),
-    }
     if args.format == "json":
+        payload = {
+            "family": cert.rst.family,
+            "rank": cert.rst.rank,
+            "parabolic_omitted_index": cert.omitted,
+            "d": cert.d,
+            "cost": rep.cost,
+            "dijkstra": rep.dijkstra,
+            "c_alpha": rep.c_alpha,
+            **{key: getattr(rep, key) for key in _CLAUSES},
+            "valid": rep.valid,
+            "strict": rep.strict,
+            "failures": list(rep.failures),
+        }
         print(json.dumps(payload, indent=2))
     else:
         print(f"certificate for {cert.rst.label}/P{cert.omitted}, d={cert.d}, "
               f"cost {rep.cost}")
-        for key in ("roots_ok", "outside_levi", "sum_matches", "orthogonal",
-                    "ladder_uniform", "ladder_sequential", "cost_matches"):
-            print(f"  {key}: {'pass' if payload[key] else 'FAIL'}")
+        for key in _CLAUSES:
+            print(f"  {key}: {'pass' if getattr(rep, key) else 'FAIL'}")
         print(f"  valid: {'yes' if rep.valid else 'NO'}"
               f"   strict (orthogonal form): {'yes' if rep.strict else 'no'}")
         for f in rep.failures:

@@ -232,7 +232,7 @@ class RootSystem:
 
     __slots__ = (
         "rst", "rank", "cartan", "sym", "positive_roots",
-        "_pos_set", "_halfnorm", "_coroots", "_fund_coords",
+        "_halfnorm", "_coroots", "_fund_coords",
         "_cartan_inv", "_root_index", "_cartan_cols",
     )
 
@@ -247,7 +247,6 @@ class RootSystem:
                                   for i in range(self.rank))
         fund_of = self._close_positive_roots()
         roots = self.positive_roots = tuple(sorted(fund_of, key=lambda c: (sum(c), c)))
-        self._pos_set = frozenset(roots)
         self._root_index = dict(zip(roots, range(len(roots))))
 
         want = _POSITIVE_COUNTS[rst.family](self.rank)
@@ -327,11 +326,11 @@ class RootSystem:
         return (1,) * self.rank
 
     def is_positive_root(self, coords) -> bool:
-        return tuple(coords) in self._pos_set
+        return tuple(coords) in self._root_index
 
     def is_root(self, coords) -> bool:
         c = tuple(coords)
-        return c in self._pos_set or tuple(-x for x in c) in self._pos_set
+        return c in self._root_index or tuple(-x for x in c) in self._root_index
 
     def root_index(self, coords) -> int:
         """Index of a positive root in the canonical enumeration."""
@@ -356,10 +355,10 @@ class RootSystem:
         self._check_length(weight, "weight")
         c = tuple(root)
         neg = False
-        if c not in self._pos_set:
+        if c not in self._root_index:
             c = tuple(-x for x in c)
             neg = True
-            if c not in self._pos_set:
+            if c not in self._root_index:
                 raise RootSystemError(f"{tuple(root)} is not a root of {self.rst}")
         k = self._root_index[c]
         val = sum(w * cv for w, cv in zip(weight, self._coroots[k]))

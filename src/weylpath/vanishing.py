@@ -629,6 +629,8 @@ def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> int | N
     coefficient <= 1 in every positive root.  The answer does not depend
     on d.
     """
+    rs._check_parabolic(parabolic)
+    rs._check_index(d)
     if len(parabolic.omitted) != 1:
         return None
     p = parabolic.omitted_index

@@ -129,18 +129,7 @@ def report_to_dict(rep: VerificationReport) -> dict:
             "parabolic_omitted_index": rep.omitted,
         },
         "minuscule": rep.minuscule,
-        "rows": [
-            {
-                "d": r.d,
-                "m_dijkstra": r.m_dijkstra,
-                "m_lattice_lb": r.m_lattice_lb,
-                "c_alpha": r.c_alpha,
-                "certificate_cost": r.certificate_cost,
-                "agreed": r.agreed,
-                "m_dijkstra_relaxed": r.m_dijkstra_relaxed,
-            }
-            for r in rep.rows
-        ],
+        "rows": [r._asdict() for r in rep.rows],
         "sum_m": rep.sum_m,
         "dim_gp": rep.dim_gp,
         "identity": rep.identity,
@@ -260,65 +249,45 @@ class SuiteReport(namedtuple("SuiteReport", [
 
 def verify_suite(max_rank: int = 12) -> SuiteReport:
     """Sweep every cominuscule parabolic except the odd quadric B_n/P1,
-    plus the factual side checks."""
+    plus the factual side checks.
+
+    ``reports`` holds one report per configuration: the tabulated ones,
+    then B_n/P_n for n < max_rank, then C_n/P1.  The identity is checked
+    over the tabulated reports, and agreement over every row of every report.
+    """
     _check_max_rank(max_rank)
     if max_rank < 2:
         raise RootSystemError("max_rank must be at least 2")
-    reports = []
-    identity_failures = []
-    disagreements = []
-    for fam, rank, p in tabulated_configurations(max_rank):
-        rep = verify(fam, rank, omitted=p)
-        reports.append(rep)
-        if not rep.identity:
-            identity_failures.append((fam, rank, p, rep.sum_m, rep.dim_gp))
-        for row in rep.rows:
-            if not row.agreed:
-                disagreements.append((fam, rank, p, row.d))
+    tabulated = list(tabulated_configurations(max_rank))
+    configs = (tabulated + [("B", n, n) for n in range(2, max_rank)]
+               + [("C", n, 1) for n in range(2, max_rank + 1)])
+    reports = tuple(verify(fam, rank, omitted=p) for fam, rank, p in configs)
+    # D_n/P_n is tabulated for every n >= 3, so a failed lookup means the
+    # coverage changed: it raises rather than verifying anything again.
+    by_config = dict(zip(configs, reports))
 
     spin = []
     for n in range(2, max_rank):
-        repB = verify("B", n, omitted=n)
-        repD = verify("D", n + 1, omitted=n + 1)
-        reports.append(repB)
-        mb, md = repB.m_profile, repD.m_profile
-        ok = mb[: n - 1] == md[: n - 1] and mb[n - 1] == md[n]
-        spin.append((n, mb, md, ok))
-        for row in repB.rows:
-            if not row.agreed:
-                disagreements.append(("B", n, n, row.d))
-
+        mb, md = by_config["B", n, n].m_profile, by_config["D", n + 1, n + 1].m_profile
+        spin.append((n, mb, md, mb[: n - 1] == md[: n - 1] and mb[n - 1] == md[n]))
     parity = []
     for n in range(4, max_rank + 1):
-        rep = verify("D", n, omitted=n)
-        m = rep.m_profile
-        if n % 2 == 0:
-            want = ((n - 2) // 2, n // 2)
-        else:
-            want = ((n - 1) // 2, (n - 1) // 2)
-        ok = (m[n - 2], m[n - 1]) == want and m[n - 2] + m[n - 1] == n - 1
-        parity.append((n, m[n - 2], m[n - 1], ok))
-
+        # (m_{n-1}, m_n) is ((n-2)/2, n/2) for even n, ((n-1)/2, (n-1)/2) for odd n.
+        a, b = by_config["D", n, n].m_profile[n - 2:]
+        parity.append((n, a, b, (a, b) == ((n - 1) // 2, n // 2)))
     negative = []
     for n in range(2, max_rank + 1):
-        rep = verify("C", n, omitted=1)
-        reports.append(rep)
+        rep = by_config["C", n, 1]
         negative.append((n, rep.sum_m, rep.dim_gp, rep.sum_m < rep.dim_gp))
 
+    identity_failures = tuple((*config, rep.sum_m, rep.dim_gp)
+                              for config, rep in zip(tabulated, reports) if not rep.identity)
+    disagreements = tuple((*config, row.d) for config, rep in zip(configs, reports)
+                          for row in rep.rows if not row.agreed)
     ok = (not identity_failures and not disagreements
-          and all(x[-1] for x in spin)
-          and all(x[-1] for x in parity)
-          and all(x[-1] for x in negative))
-    return SuiteReport(
-        max_rank=max_rank,
-        reports=tuple(reports),
-        identity_failures=tuple(identity_failures),
-        disagreements=tuple(disagreements),
-        spin_cross_checks=tuple(spin),
-        parity_checks=tuple(parity),
-        negative_checks=tuple(negative),
-        ok=ok,
-    )
+          and all(x[-1] for x in spin + parity + negative))
+    return SuiteReport(max_rank, reports, identity_failures, disagreements,
+                       tuple(spin), tuple(parity), tuple(negative), ok)
 
 
 def suite_to_dict(suite: SuiteReport) -> dict:

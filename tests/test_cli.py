@@ -87,13 +87,36 @@ def test_tau_action_table(capsys):
     assert "tau(alpha_7) = (2, 2, 3, 4, 3, 2, 1)" in out
 
 
+CHECK_CERT_KEYS = [
+    "family", "rank", "parabolic_omitted_index", "d", "cost", "dijkstra", "c_alpha",
+    "roots_ok", "outside_levi", "sum_matches", "orthogonal", "ladder_uniform",
+    "ladder_sequential", "cost_matches", "valid", "strict", "failures",
+]
+
+
 def test_check_cert_good(tmp_path, capsys):
     cert = catalog_certificate(build("E7"), Parabolic.maximal(7, 7), 7)
     path = tmp_path / "good.json"
     dump_certificate(cert, path)
     code, out, _ = run(capsys, "check-cert", str(path), "--format", "json")
     assert code == 0
-    assert json.loads(out)["valid"] is True
+    data = json.loads(out)
+    assert list(data) == CHECK_CERT_KEYS
+    assert data["valid"] is True
+    assert (data["cost"], data["dijkstra"], data["c_alpha"], data["failures"]) == (3, 3, 3, [])
+    code, out, err = run(capsys, "check-cert", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "certificate for E7/P7, d=7, cost 3",
+        "  roots_ok: pass",
+        "  outside_levi: pass",
+        "  sum_matches: pass",
+        "  orthogonal: pass",
+        "  ladder_uniform: pass",
+        "  ladder_sequential: pass",
+        "  cost_matches: pass",
+        "  valid: yes   strict (orthogonal form): yes",
+    ]
 
 
 def test_check_cert_bad(tmp_path, capsys):
@@ -102,9 +125,27 @@ def test_check_cert_bad(tmp_path, capsys):
                       entries=((rs.simple_root(3), 1), (rs.simple_root(1), 1)))
     path = tmp_path / "bad.json"
     dump_certificate(bad, path)
-    code, out, _ = run(capsys, "check-cert", str(path))
+    code, out, err = run(capsys, "check-cert", str(path))
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines() == [
+        "certificate for D5/P1, d=2, cost 2",
+        "  roots_ok: pass",
+        "  outside_levi: FAIL",
+        "  sum_matches: FAIL",
+        "  orthogonal: pass",
+        "  ladder_uniform: FAIL",
+        "  ladder_sequential: FAIL",
+        "  cost_matches: pass",
+        "  valid: NO   strict (orthogonal form): no",
+    ]
+    assert len(err.splitlines()) == 6 and err.startswith("  ! ")
+    code, out, _ = run(capsys, "check-cert", str(path), "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert list(data) == CHECK_CERT_KEYS
+    assert [data[key] for key in CHECK_CERT_KEYS[7:16]] == [
+        True, False, False, True, False, False, True, False, False]
+    assert data["failures"] == [line.removeprefix("  ! ") for line in err.splitlines()]
 
 
 def test_bad_configuration_is_usage_error(capsys):

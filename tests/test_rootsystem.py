@@ -222,6 +222,18 @@ def test_positive_roots_closed_under_reflections():
                     assert rs.is_positive_root(img)
 
 
+def test_root_membership_and_negative_pairings():
+    for label in ("A3", "B3", "C3", "D4", "G2"):
+        rs = build(label)
+        for c in rs.positive_roots:
+            neg = [-x for x in c]
+            assert rs.is_positive_root(list(c)) and rs.is_root(c)
+            assert rs.is_root(neg) and not rs.is_positive_root(neg)
+            assert rs.pairing((1,) * rs.rank, neg) == -rs.pairing((1,) * rs.rank, c)
+        for non_root in ((0,) * rs.rank, tuple(2 * x for x in rs.positive_roots[-1])):
+            assert not rs.is_root(non_root) and not rs.is_positive_root(non_root)
+
+
 BUILD_LABELS = (
     [f"A{n}" for n in range(1, 21)]
     + [f"B{n}" for n in range(2, 21)]

@@ -14,7 +14,9 @@ from weylpath import (
     target_weight, vanishing_result, verify, verify_suite, weyl_involution,
 )
 from weylpath import vanishing
-from weylpath.certificates import catalog_certificate, epsilon_to_root, path_certificate
+from weylpath.certificates import (
+    best_certificate, catalog_certificate, epsilon_to_root, path_certificate,
+)
 from weylpath.rootsystem import eps_from_root_coords
 from weylpath.vanishing import (
     InternalInconsistencyError, TargetWeight, _estimator_bounds, _search_data,
@@ -862,9 +864,19 @@ def test_parabolic_of_wrong_rank_rejected():
     rs = build("A3")
     for parab in (P(2, 1), P(5, 5), P(4, 1)):
         for oracle in (target_weight, source_weight, dijkstra_order, lattice_lower_bound,
-                       coefficient_lower_bound, shortest_path):
+                       coefficient_lower_bound, shortest_path, catalog_certificate,
+                       best_certificate, vanishing.distinguished_index):
             with pytest.raises(RootSystemError):
                 oracle(rs, parab, 1)
+
+
+def test_distinguished_index_rejects_d_out_of_range():
+    # d is range-checked like every index, though the answer does not depend on it.
+    rs = build("C3")
+    for parab, d in ((P(5, 5), 99), (P(3, 1), 0), (P(3, 1), 4), (P(3, 1), 99)):
+        with pytest.raises(RootSystemError):
+            vanishing.distinguished_index(rs, parab, d)
+    assert vanishing.distinguished_index(rs, P(3, 1), 3) == 3
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None])
@@ -875,7 +887,8 @@ def test_non_integer_indices_rejected(bad):
         verify("A", 3, omitted=bad)
     with pytest.raises(RootSystemError):
         P(3, bad)
-    for oracle in (dijkstra_order, lattice_lower_bound, target_weight):
+    for oracle in (dijkstra_order, lattice_lower_bound, target_weight,
+                   vanishing.distinguished_index):
         with pytest.raises(RootSystemError):
             oracle(rs, P(3, 1), bad)
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -203,6 +204,78 @@ def test_suite_serialization():
     md = suite_to_markdown(suite)
     assert "overall: ok" in md
     assert suite_to_dict(suite)["reports"]
+
+
+# sha256 of suite_to_json(verify_suite(k)): every report, check and key
+# of the sweep in its order, byte for byte.
+SUITE_SHA256 = {
+    2: "b5eb042b1d17ba196e7fe78e7c1bbaab9e51f86cfa660515f8799950d651f942",
+    3: "6612dad8453885878fef8cb1160ed58e148aa3e7817a74901adc81e3bca328a7",
+    4: "c12e0063e88cc9b8d22a653b797b95c28cf05c6a48fd4980c1b34b6cc6936581",
+    5: "a8176cafd6c4633f509c21782fd16f83c1fb9ce6f51ca641994ccb58b3db4a4b",
+    6: "4784044e4f212a8615de032c02d780bace66ed4a80e4a5ccaa651cd0ae1da1b6",
+    7: "9a54025c80d72df3e10ec397fe3c8a8e3284125d3f27b94961ea4edde6cd6add",
+    8: "29a66761b6f2e680dc8bb311d77025048949fda8284379715025752e9ce80b25",
+    9: "005c9c322c06139d73815293ed98b76b26d1f4c96adb1004d3aecd90cd1bb261",
+    10: "ec1749ee36761208689d28d6f6d55a95cc3162cfba47324aa9aa1353a637b20e",
+    11: "24c6c6fa34c1ae9adec24d16eb372bd65b9659f9c518d58d3ba9562713bca823",
+    12: "2162fbce80dd747ef55430abf365dddbaa20d7c9c2deee5d2e3f2a043b6f95f8",
+}
+
+
+@pytest.mark.parametrize("max_rank", sorted(SUITE_SHA256))
+def test_suite_json_is_pinned(max_rank):
+    text = suite_to_json(verify_suite(max_rank))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256[max_rank]
+
+
+def _patch_verify(monkeypatch, change):
+    """Route verify_suite's calls to verify through ``change(config, report)``."""
+    module = sys.modules["weylpath.verify"]
+    original = module.verify
+
+    def patched(family, rank=None, omitted=None, **kwargs):
+        return change((family, rank, omitted), original(family, rank, omitted=omitted, **kwargs))
+
+    monkeypatch.setattr(module, "verify", patched)
+
+
+def test_suite_verifies_each_configuration_once(monkeypatch):
+    calls = []
+    _patch_verify(monkeypatch, lambda config, rep: calls.append(config) or rep)
+    suite = verify_suite(9)
+    assert calls == [(rep.family, rep.rank, rep.omitted) for rep in suite.reports]
+    assert len(set(calls)) == len(calls)
+    assert calls[-8:] == [("C", n, 1) for n in range(2, 10)]
+    assert calls[-15:-8] == [("B", n, n) for n in range(2, 9)]
+
+
+def test_c_node1_disagreement_reaches_the_suite(monkeypatch):
+    def spoil(config, rep):
+        if config != ("C", 2, 1):
+            return rep
+        return rep._replace(rows=(rep.rows[0], rep.rows[1]._replace(agreed=False)))
+
+    _patch_verify(monkeypatch, spoil)
+    suite = verify_suite(3)
+    assert suite.disagreements == (("C", 2, 1, 2),)
+    assert not suite.ok
+    assert not suite.identity_failures
+    assert all(ok for *_, ok in suite.negative_checks)
+
+
+def test_suite_raises_when_a_checked_profile_is_not_listed(monkeypatch):
+    # The spin and parity checks read D_n/P_n from the listed reports; a
+    # listing without it must fail loudly, not verify it on the side.
+    module = sys.modules["weylpath.verify"]
+    listed = module.tabulated_configurations
+    monkeypatch.setattr(module, "tabulated_configurations",
+                        lambda max_rank: [c for c in listed(max_rank) if c != ("D", 5, 5)])
+    calls = []
+    _patch_verify(monkeypatch, lambda config, rep: calls.append(config) or rep)
+    with pytest.raises(KeyError):
+        verify_suite(6)
+    assert ("D", 5, 5) not in calls
 
 
 # -- cold starts and the traced benchmark ------------------------------------
