@@ -317,8 +317,9 @@ def certificate_from_dict(data: dict) -> Certificate:
 
     Raises :class:`RootSystemError` for missing keys, non-integer or
     boolean numbers, a rank above :data:`MAX_CERTIFICATE_RANK`, root
-    coordinates not of the rank's length, and a d or parabolic index
-    outside ``1..rank``.
+    coordinates not of the rank's length, a d or parabolic index outside
+    ``1..rank``, and ``entries``, an entry or its ``root_coords`` of the
+    wrong shape, naming that field.
     """
     try:
         rank = _plain_int(data["rank"], "rank")
@@ -330,15 +331,27 @@ def certificate_from_dict(data: dict) -> Certificate:
         for what, index in (("parabolic_omitted_index", omitted), ("d", d)):
             if not 1 <= index <= rank:
                 raise ValueError(f"{what} {index} not in 1..{rank}")
+        raw = data["entries"]
+        if not isinstance(raw, (list, tuple)):
+            raise TypeError(f"entries must be a list, got {type(raw).__name__}")
         entries = []
-        for e in data["entries"]:
-            coords = tuple(e["root_coords"])
+        for i, e in enumerate(raw):
+            try:
+                coords = tuple(e["root_coords"])
+            except TypeError:
+                # Only the error path looks at which field has the wrong shape.
+                if not isinstance(e, dict):
+                    raise TypeError(f"entries[{i}] must be an object, "
+                                    f"got {type(e).__name__}") from None
+                raise TypeError(f"entries[{i}].root_coords must be a list, "
+                                f"got {type(e['root_coords']).__name__}") from None
             # One pass over the types; the loop only names the first offender.
             if not {*map(type, coords)} <= {int}:
                 for x in coords:
                     _plain_int(x, "root coordinate")
             if len(coords) != rank:
-                raise ValueError(f"root_coords {list(coords)} has length {len(coords)}, rank is {rank}")
+                raise ValueError(f"entries[{i}].root_coords {list(coords)} has length "
+                                 f"{len(coords)}, rank is {rank}")
             entries.append((coords, _plain_int(e["multiplicity"], "multiplicity")))
         return Certificate(rst=rst, omitted=omitted, d=d, entries=tuple(entries), origin="file")
     except (KeyError, TypeError, ValueError) as exc:

@@ -30,8 +30,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import floordiv, mod, mul, sub
+from itertools import accumulate, chain
+from operator import sub
 
 Weight = tuple  # fundamental-weight coordinates, ints or Fractions
 Root = tuple    # simple-root coordinates, ints
@@ -221,11 +221,12 @@ class RootSystem:
 
     Positive roots are enumerated by reflection closure of the simple
     roots and frozen in (height, lexicographic) order.  The closure
-    carries each root's fundamental coordinates with it: s_i moves a root
-    beta to beta - k*alpha_i with k = <beta, alpha_i^vee>, so the image's
-    coordinates are the parent's minus k times column i of the Cartan
-    matrix, stored once by its nonzero entries.  The integer pairing data
-    is precomputed once; the rational inverse of the Cartan matrix, needed
+    carries each root's fundamental coordinates, coroot and half-norm
+    with it: s_i moves a root beta to beta - k*alpha_i with
+    k = <beta, alpha_i^vee>, so the image's fundamental coordinates are
+    the parent's minus k times column i of the Cartan matrix, stored once
+    by its nonzero entries.  The integer pairing data is thus computed in
+    that one pass; the rational inverse of the Cartan matrix, needed
     only by :meth:`to_root_basis`, is computed on its first call.
     Instances are safe to share between threads.
     """
@@ -238,74 +239,77 @@ class RootSystem:
 
     def __init__(self, rst: RootSystemType):
         self.rst = rst
-        self.rank = rst.rank
-        self.cartan, self.sym = _cartan_and_symmetrizers(rst)
+        n = self.rank = rst.rank
+        A, d = self.cartan, self.sym = _cartan_and_symmetrizers(rst)
+        # diag(d) @ A symmetric with d > 0 makes (beta, beta) W-invariant,
+        # which the closure relies on to pass half-norms to images.
+        if not all(x > 0 for x in d) or any(d[i] * A[i][j] != d[j] * A[j][i]
+                                            for i in range(n) for j in range(i)):
+            raise RootSystemError(f"{rst}: symmetrizers {d} do not symmetrize the Cartan matrix")
         self._cartan_inv = None
         # column i by its nonzero entries (j, <alpha_{i+1}, alpha_{j+1}^vee>)
-        A = self.cartan
-        self._cartan_cols = tuple(tuple((j, A[j][i]) for j in range(self.rank) if A[j][i])
-                                  for i in range(self.rank))
-        fund_of = self._close_positive_roots()
-        roots = self.positive_roots = tuple(sorted(fund_of, key=lambda c: (sum(c), c)))
-        self._root_index = dict(zip(roots, range(len(roots))))
+        self._cartan_cols = tuple(tuple((j, A[j][i]) for j in range(n) if A[j][i])
+                                  for i in range(n))
+        roots, fund, coroots, halfnorm, _ = zip(*chain.from_iterable(self._close_positive_roots()))
 
-        want = _POSITIVE_COUNTS[rst.family](self.rank)
+        want = _POSITIVE_COUNTS[rst.family](n)
         if len(roots) != want:
             raise RootSystemError(
                 f"{rst}: enumerated {len(roots)} positive roots, expected {want}"
             )
-
-        dvec = self.sym
-        fund = self._fund_coords = tuple(map(fund_of.__getitem__, roots))
-        # c_i d_i per root; (beta, beta) = sum_ij c_i d_i A_ij c_j
-        # = sum_i c_i d_i <beta, alpha_i^vee>, and beta^vee = (c_i d_i) / ((beta, beta)/2)
-        scaled = [tuple(map(mul, c, dvec)) for c in roots]
-        norms = [sum(map(mul, cd, f)) for cd, f in zip(scaled, fund)]
-        coroots = []
-        for c, cd, nn in zip(roots, scaled, norms):
-            if nn <= 0 or nn % 2:
-                raise RootSystemError(f"{rst}: bad norm {nn} for root {c}")
-            hn = nn // 2
-            if hn != 1:
-                if any(map(mod, cd, repeat(hn))):
-                    raise RootSystemError(f"{rst}: non-integral coroot for {c}")
-                cd = tuple(map(floordiv, cd, repeat(hn)))
-            coroots.append(cd)
-        self._halfnorm = tuple(nn // 2 for nn in norms)
-        self._coroots = tuple(coroots)
+        self.positive_roots = roots
+        self._root_index = dict(zip(roots, range(len(roots))))
+        self._fund_coords = fund
+        self._coroots = coroots
+        self._halfnorm = halfnorm
 
     # -- enumeration ---------------------------------------------------
 
-    def _close_positive_roots(self) -> dict:
-        """Every positive root, mapped to its fundamental coordinates.
+    def _close_positive_roots(self) -> list:
+        """The positive roots by height, each level sorted.
 
-        Each positive root of height > 1 is s_i(gamma) = gamma - k*alpha_i
-        for a lower positive root gamma with k = <gamma, alpha_i^vee> < 0,
-        so only those raising reflections are followed.  The image's
-        coordinates are gamma's minus k times the sparse column i.
+        Level h lists the records ``(coords, fund, coroot, halfnorm, key)``
+        of the roots of height h; ``key`` packs the coordinates 3 bits
+        apiece, enough for every coefficient up to E8's 6.  Each positive
+        root of height > 1 is s_i(gamma) = gamma - k*alpha_i for a lower
+        positive root gamma with k = <gamma, alpha_i^vee> < 0, so only
+        those raising reflections are followed, level by level.  The image
+        has height ht(gamma) - k, the key plus -k units at i, the
+        fundamental coordinates minus k times the sparse column i, and
+        gamma's half-norm; s_i changes only coroot coordinate i, which
+        loses <alpha_i, gamma^vee> = k*d_i / halfnorm.
         """
-        n = self.rank
+        n, d = self.rank, self.sym
         cols = self._cartan_cols
-        # alpha_i's fundamental coordinates are column i of the Cartan matrix
-        fund_of = {tuple(int(i == j) for j in range(n)): tuple(row[i] for row in self.cartan)
-                   for i in range(n)}
-        frontier = list(fund_of)
-        while frontier:
-            nxt = []
-            for c in frontier:
-                f = fund_of[c]
+        unit = [1 << 3 * i for i in range(n)]
+        # alpha_i: fundamental coordinates column i, coroot alpha_i^vee
+        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        levels = [[], [(e, tuple(row[i] for row in self.cartan), e, d[i], unit[i])
+                       for i, e in enumerate(simple)]]
+        seen = set(unit)
+        for h, level in enumerate(levels):
+            level.sort()
+            for c, f, cv, hn, key in level:
                 for i, k in enumerate(f):
                     if k >= 0:
                         continue
-                    img = (*c[:i], c[i] - k, *c[i + 1:])
-                    if img not in fund_of:
-                        g = list(f)
-                        for j, a in cols[i]:
-                            g[j] -= k * a
-                        fund_of[img] = tuple(g)
-                        nxt.append(img)
-            frontier = nxt
-        return fund_of
+                    img = key - k * unit[i]
+                    if img in seen:
+                        continue
+                    seen.add(img)
+                    step, rem = divmod(-k * d[i], hn)
+                    if rem:
+                        raise RootSystemError(f"{self.rst}: non-integral coroot for s_{i + 1}{c}")
+                    x, g, y = list(c), list(f), list(cv)
+                    x[i] -= k
+                    for j, a in cols[i]:
+                        g[j] -= k * a
+                    y[i] += step
+                    top = h - k
+                    while len(levels) <= top:
+                        levels.append([])
+                    levels[top].append((tuple(x), tuple(g), tuple(y), hn, img))
+        return levels
 
     # -- basic accessors -----------------------------------------------
 

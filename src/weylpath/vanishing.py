@@ -59,7 +59,7 @@ import struct
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, _eps_l1, build,
@@ -754,13 +754,15 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
             outside = False
             fail(f"in the Levi at index {d}:", f"{c} lies in the Levi at index {d}")
 
+    # One list stepped in place: a short entry shortens it, as zip would.
     total = [0] * rs.rank
     for c, n in entries:
-        total = [t + n * x for t, x in zip(total, c)]
-    sum_matches = (tuple(total) == rec.target
+        total[:] = map(add, total, c if n == 1 else [n * x for x in c])
+    total = tuple(total)
+    sum_matches = (total == rec.target
                    and all(len(c) == rs.rank for c, _ in entries))
     if not sum_matches:
-        failures.append(f"(a) sum {tuple(total)} != target {rec.target}")
+        failures.append(f"(a) sum {total} != target {rec.target}")
 
     orthogonal = True
     ladder_uniform = ladder_sequential = roots_ok
@@ -794,7 +796,8 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
                 ladder_sequential = False
                 failures.append(f"sequential ladder stalls at {c}: pairing {r} != {n}")
                 break
-            chi = tuple(a - n * b for a, b in zip(chi, funds[k]))
+            f = funds[k]
+            chi = tuple(map(sub, chi, f if n == 1 else [n * b for b in f]))
         else:
             if chi != rec.sink:
                 ladder_sequential = False

@@ -248,6 +248,36 @@ def test_check_cert_cli_rejects_malformed(kind, tmp_path, capsys):
     assert "Traceback" not in out.err
 
 
+# Each shape defect names the field it sits in, and check-cert exits 2.
+SHAPE_DEFECTS = {
+    "entries_dict": (lambda doc: doc.update(entries={"root_coords": [1, 0, 0]}),
+                     "entries must be a list, got dict"),
+    "entries_string": (lambda doc: doc.update(entries="root_coords"),
+                       "entries must be a list, got str"),
+    "entry_list": (lambda doc: doc["entries"].__setitem__(1, [[0, 1, 0], 1]),
+                   "entries[1] must be an object, got list"),
+    "scalar_root_coords": (lambda doc: doc["entries"][0].update(root_coords=5),
+                           "entries[0].root_coords must be a list, got int"),
+    "short_root_coords": (lambda doc: doc["entries"][0]["root_coords"].pop(),
+                          "entries[0].root_coords [1, 1] has length 2, rank is 3"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPE_DEFECTS))
+def test_shape_defect_names_its_field(kind, tmp_path, capsys):
+    mutate, message = SHAPE_DEFECTS[kind]
+    doc = certificate_to_dict(catalog_certificate(build("A3"), P(3, 2), 2))
+    assert [e["root_coords"] for e in doc["entries"]] == [[1, 1, 1], [0, 1, 0]]
+    mutate(doc)
+    with pytest.raises(RootSystemError) as exc:
+        certificate_from_dict(doc)
+    assert str(exc.value) == f"malformed certificate data: {message}"
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-cert", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: malformed certificate data: {message}\n"
+
+
 # The coordinate check is one pass over the value types; its message still
 # names the first value that is not a plain integer.
 BAD_COORDINATES = [True, False, 1.0, 0.5, "1", None, [1], {"x": 1}]

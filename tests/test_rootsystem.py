@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from weylpath import Parabolic, RootSystemError, RootSystemType, build, verify
-from weylpath.rootsystem import _eps_l1, eps_from_root_coords, root_coords_from_eps
+from weylpath import Parabolic, RootSystem, RootSystemError, RootSystemType, build, rootsystem, verify
+from weylpath.certificates import MAX_CERTIFICATE_RANK
+from weylpath.rootsystem import (
+    _cartan_and_symmetrizers, _eps_l1, eps_from_root_coords, root_coords_from_eps,
+)
 
 ALL_LABELS = (
     [f"A{n}" for n in range(1, 13)]
@@ -283,6 +287,32 @@ def test_sparse_build_matches_dense_build(label):
     assert rs._fund_coords == fund
     assert rs._coroots == coroots
     assert rs._halfnorm == halfnorm
+    assert rs._root_index == {c: k for k, c in enumerate(roots)}
+
+
+def test_root_coefficients_fit_the_packed_key():
+    # The closure packs each coefficient into 3 bits; E8's highest root
+    # has the largest coefficient of any irreducible system, 6.
+    top = max(max(c) for label in BUILD_LABELS for c in build(label).positive_roots)
+    assert top == 6 == max(build("E8").positive_roots[-1])
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_build_at_the_certificate_rank_cap(family):
+    n = MAX_CERTIFICATE_RANK
+    rs = RootSystem(RootSystemType(family, n))
+    assert rs.num_positive_roots == COUNTS[family](n)
+    assert all(sum(map(mul, f, cv)) == 2 for f, cv in zip(rs._fund_coords, rs._coroots))
+
+
+@pytest.mark.parametrize("label, sym", [("B3", (1, 2, 1)), ("G2", (1, 1)), ("G2", (3, 1)),
+                                        ("B3", (0, 0, 0))])
+def test_build_rejects_symmetrizers_that_do_not_symmetrize(monkeypatch, label, sym):
+    rst = RootSystemType.parse(label)
+    cartan, _ = _cartan_and_symmetrizers(rst)
+    monkeypatch.setattr(rootsystem, "_cartan_and_symmetrizers", lambda _: (cartan, sym))
+    with pytest.raises(RootSystemError, match="do not symmetrize"):
+        RootSystem(rst)
 
 
 def test_pairing_rejects_non_roots():
