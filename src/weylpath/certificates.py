@@ -315,13 +315,15 @@ def _plain_int(value, what: str) -> int:
 def certificate_from_dict(data: dict) -> Certificate:
     """Parse a certificate document, rejecting anything but exact integers.
 
-    Raises :class:`RootSystemError` for missing keys, non-integer or
-    boolean numbers, a rank above :data:`MAX_CERTIFICATE_RANK`, root
-    coordinates not of the rank's length, a d or parabolic index outside
-    ``1..rank``, and ``entries``, an entry or its ``root_coords`` of the
-    wrong shape, naming that field.
+    Raises :class:`RootSystemError` for a document that is not an object,
+    missing keys, non-integer or boolean numbers, a rank above
+    :data:`MAX_CERTIFICATE_RANK`, root coordinates not of the rank's
+    length, a d or parabolic index outside ``1..rank``, and ``entries``,
+    an entry or its ``root_coords`` of the wrong shape, naming that field.
     """
     try:
+        if not isinstance(data, dict):
+            raise TypeError(f"certificate must be an object, got {type(data).__name__}")
         rank = _plain_int(data["rank"], "rank")
         if rank > MAX_CERTIFICATE_RANK:
             raise ValueError(f"rank {rank} exceeds the cap of {MAX_CERTIFICATE_RANK}")
@@ -338,6 +340,9 @@ def certificate_from_dict(data: dict) -> Certificate:
         for i, e in enumerate(raw):
             try:
                 coords = tuple(e["root_coords"])
+                mult = e["multiplicity"]
+            except KeyError as exc:
+                raise ValueError(f"entries[{i}] has no {exc}") from None
             except TypeError:
                 # Only the error path looks at which field has the wrong shape.
                 if not isinstance(e, dict):
@@ -352,9 +357,11 @@ def certificate_from_dict(data: dict) -> Certificate:
             if len(coords) != rank:
                 raise ValueError(f"entries[{i}].root_coords {list(coords)} has length "
                                  f"{len(coords)}, rank is {rank}")
-            entries.append((coords, _plain_int(e["multiplicity"], "multiplicity")))
+            entries.append((coords, _plain_int(mult, "multiplicity")))
         return Certificate(rst=rst, omitted=omitted, d=d, entries=tuple(entries), origin="file")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise RootSystemError(f"malformed certificate data: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise RootSystemError(f"malformed certificate data: {exc}") from exc
 
 

@@ -293,7 +293,9 @@ def _raise_over_w(rst: RootSystemType):
 
 @lru_cache(maxsize=None)
 def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
-    """Per d, the target ``TargetWeight`` and the source tau(-w0(omega_d)).
+    """Per d, the target ``TargetWeight``, the source tau(-w0(omega_d)) and
+    c_alpha, the target's coefficient at the parabolic's distinguished
+    index (:func:`distinguished_index`), or ``None`` where it has none.
 
     With lam_d = -w0(omega_d) = omega_{sigma(d)} = -omega_d + b_d, raising
     -lam_d over the Levi gives -tau(lam_d) = -lam_d + c_d, so the target
@@ -305,6 +307,7 @@ def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
     """
     rs = build(rst)
     rs._check_parabolic(parab)
+    alpha = _distinguished(rs, parab)
     bits, lam, b = _raise_over_w(rst)
     levi = [i - 1 for i in sorted(parab.retained)]
     neg_tau, c = _raise(_reflection_tables(rst).cols, levi, tuple(-x for x in lam))
@@ -317,12 +320,13 @@ def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
             raise InternalInconsistencyError(
                 f"{where} d={d}: target has coordinates {root_coords}, expected nonnegative integers")
         value = (*source[:d - 1], source[d - 1] + 1, *source[d:])
-        out.append((TargetWeight(d=d, value=value, root_coords=root_coords), source))
+        out.append((TargetWeight(d=d, value=value, root_coords=root_coords), source,
+                    None if alpha is None else root_coords[alpha - 1]))
     return tuple(out)
 
 
 def _target_cached(rst: RootSystemType, parab: Parabolic, d: int):
-    """``(target, source)`` at d, read from the cached record of
+    """``(target, source, c_alpha)`` at d, read from the cached record of
     :func:`_targets`; ``d`` is a checked index."""
     return _targets(rst, parab)[d - 1]
 
@@ -525,20 +529,24 @@ def _estimator(rst: RootSystemType):
     return estimate
 
 
-def _deepen(search, moves, chi, v, missing: str) -> int:
+def _deepen(search, moves, chi, v, config, missing: str) -> int:
     """The least budget within which a :func:`_depth_first` walk of ``moves``
     from ``(chi, v)`` clears v, by iterative deepening under one memo.
 
     The budget rises by one from the start's estimate; the estimate is
     admissible and every step lowers the residual's height, so the first
-    budget that a walk fits in is the distance.  ``missing`` names the
-    search in the error raised when none fits under the ceiling ht(v).
+    budget that a walk fits in is the distance.  ``config``, the
+    ``(system, parabolic, d)`` searched, and ``missing`` name the search
+    in the error raised when none fits under the ceiling ht(v); only that
+    error formats them.
     """
     failed = {}
     for bound in range(search.estimate(v), sum(v) + 1):
         if _depth_first(chi, v, bound, moves, search.step, _same, search.estimate, failed):
             return bound
-    raise InternalInconsistencyError(f"{missing} within ceiling {sum(v)}")
+    rst, parab, d = config
+    raise InternalInconsistencyError(
+        f"{rst} P={sorted(parab.omitted)} d={d}: {missing} within ceiling {sum(v)}")
 
 
 @lru_cache(maxsize=None)
@@ -546,9 +554,9 @@ def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: boo
     # The ladder on orbits, deepened: a step of cost r subtracts r*beta
     # with ht(beta) >= 1, so m <= ht(v), the ceiling of the deepening.
     search = _search_data(rst, d, relaxed)
-    tw, source = _target_cached(rst, parab, d)
+    tw, source, _ = _target_cached(rst, parab, d)
     return _deepen(search, search.ladder, *search.canon(source, tw.root_coords),
-                   f"{rst} P={sorted(parab.omitted)} d={d}: path order: no path")
+                   (rst, parab, d), "path order: no path")
 
 
 def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False) -> int:
@@ -578,7 +586,7 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
         return iter(sorted(search.walk(chi, v, left), reverse=True, key=lambda e: (
             funds[e[1]] if e[0] == 1 else tuple([e[0] * x for x in funds[e[1]]]))))
 
-    tw, source = _target_cached(rs.rst, parabolic, d)
+    tw, source, _ = _target_cached(rs.rst, parabolic, d)
     stack = _depth_first(source, tw.root_coords, m, children, _make_step(rs, _same), search.canon,
                          search.estimate, {})
     if stack is None:
@@ -603,7 +611,7 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool
     search = _search_data(rst, d, relaxed)
     tw = _target_cached(rst, parab, d)[0]
     return _deepen(search, search.subtract, *search.canon(tw.value, tw.root_coords),
-                   f"{rst} P={sorted(parab.omitted)} d={d}: lattice: no decomposition")
+                   (rst, parab, d), "lattice: no decomposition")
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
@@ -621,16 +629,9 @@ def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
 # distinguished-coefficient lower bound
 # ---------------------------------------------------------------------------
 
-def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> int | None:
-    """Cominuscule simple index whose target coefficient attains m_d, or None.
-
-    That is p itself when the omitted index p is cominuscule, and in type
-    C the cominuscule node n at every p.  A cominuscule index has
-    coefficient <= 1 in every positive root.  The answer does not depend
-    on d.
-    """
-    rs._check_parabolic(parabolic)
-    rs._check_index(d)
+def _distinguished(rs: RootSystem, parabolic: Parabolic) -> int | None:
+    """The distinguished index of a checked parabolic (:func:`distinguished_index`),
+    which does not depend on d."""
     if len(parabolic.omitted) != 1:
         return None
     p = parabolic.omitted_index
@@ -641,6 +642,19 @@ def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> int | N
     return None
 
 
+def distinguished_index(rs: RootSystem, parabolic: Parabolic, d: int) -> int | None:
+    """Cominuscule simple index whose target coefficient attains m_d, or None.
+
+    That is p itself when the omitted index p is cominuscule, and in type
+    C the cominuscule node n at every p.  A cominuscule index has
+    coefficient <= 1 in every positive root.  The answer does not depend
+    on d.
+    """
+    rs._check_parabolic(parabolic)
+    rs._check_index(d)
+    return _distinguished(rs, parabolic)
+
+
 def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int | None:
     """Coefficient of the distinguished simple root in the target weight.
 
@@ -648,53 +662,20 @@ def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int
     the odd quadric B_n/P1, and also on B_n/P1 and on every parabolic of
     type C; ``None`` elsewhere (for instance the odd orthogonal spin
     configurations, where every bound of this shape is too weak).  The
-    value comes from the cached record :func:`check_certificate` reads,
-    which is built from the target weight alone.
+    value is read from the parabolic's cached target record
+    (:func:`_targets`), which never runs the path or lattice oracle.
     """
     rs._check_index(d)
     rs._check_parabolic(parabolic)
-    if len(parabolic.omitted) != 1:
-        return None
-    return _config(rs.rst, parabolic.omitted_index, d).c_alpha
-
-
-class _Config(namedtuple("_Config", [
-    "parab",
-    "target",   # target weight in root coordinates
-    "source",   # chi0 = target - omega_d, in fundamental coordinates
-    "sink",     # -omega_d
-    "c_alpha",
-])):
-    """What a certificate at one (system, maximal parabolic, d) is checked
-    against, all of it read off the target weight."""
-
-    __slots__ = ()
+    return _target_cached(rs.rst, parabolic, d)[2]
 
 
 @lru_cache(maxsize=None)
 def _maximal_at(rank: int, i: int):
-    """The maximal parabolic omitting i, and -omega_i: one copy of each
-    for all the records of a rank, which keeps the records small."""
+    """The maximal parabolic omitting i and -omega_i, interned per (rank, i):
+    the checker builds neither per certificate, and keys the target and path
+    caches on the parabolic."""
     return Parabolic.maximal(rank, i), tuple(-int(j == i - 1) for j in range(rank))
-
-
-@lru_cache(maxsize=None)
-def _config(rst: RootSystemType, omitted: int, d: int) -> _Config:
-    # Only the target goes in: the path and lattice oracles stay separate
-    # calls, so the routes that clause (d) compares remain independent.
-    rs = build(rst)
-    parab = _maximal_at(rst.rank, omitted)[0]
-    rs._check_index(d)
-    tw, source = _target_cached(rst, parab, d)
-    sink = _maximal_at(rst.rank, d)[1]
-    alpha = distinguished_index(rs, parab, d)
-    return _Config(
-        parab=parab,
-        target=tw.root_coords,
-        source=source,
-        sink=sink,
-        c_alpha=None if alpha is None else tw.root_coords[alpha - 1],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +700,17 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     non-orthogonal pairs, and (c) and each membership check as many
     failing entries, each list then one line saying it was cut.
 
-    Target, source, sink and c_alpha come from one cached record per
-    (system, parabolic, d), and the path oracle from its own cache.
+    Target, source and c_alpha are read from the parabolic's cached target
+    record, which never runs the path or lattice oracle; the path order
+    comes from its own cache.
     """
     if cert.rst != rs.rst:
         raise RootSystemError(f"certificate is for {cert.rst}, root system is {rs.rst}")
-    rec = _config(cert.rst, cert.omitted, cert.d)
+    parab = _maximal_at(rs.rank, cert.omitted)[0]
     d = cert.d
+    rs._check_index(d)
+    tw, chi0, ca = _target_cached(rs.rst, parab, d)
+    target, sink = tw.root_coords, _maximal_at(rs.rank, d)[1]
     entries = cert.entries
     coroots, funds = rs._coroots, rs._fund_coords
     failures = []
@@ -759,10 +744,10 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     for c, n in entries:
         total[:] = map(add, total, c if n == 1 else [n * x for x in c])
     total = tuple(total)
-    sum_matches = (total == rec.target
+    sum_matches = (total == target
                    and all(len(c) == rs.rank for c, _ in entries))
     if not sum_matches:
-        failures.append(f"(a) sum {total} != target {rec.target}")
+        failures.append(f"(a) sum {total} != target {target}")
 
     orthogonal = True
     ladder_uniform = ladder_sequential = roots_ok
@@ -782,7 +767,6 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
                 break
             failures.append(f"(b) {bi} and {bj} are not orthogonal")
 
-        chi0 = rec.source
         for (c, n), k in zip(entries, ks):
             r = sum(map(mul, chi0, coroots[k]))
             if r != n:
@@ -799,15 +783,14 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
             f = funds[k]
             chi = tuple(map(sub, chi, f if n == 1 else [n * b for b in f]))
         else:
-            if chi != rec.sink:
+            if chi != sink:
                 ladder_sequential = False
-                failures.append(f"sequential ladder ends at {chi}, not {rec.sink}")
+                failures.append(f"sequential ladder ends at {chi}, not {sink}")
     # The source is target - omega_d, so the order-free ladder ends at the
     # sink exactly when the entries sum to the target: clause (a).
     ladder_uniform = ladder_uniform and sum_matches
 
-    m = _dijkstra_cached(cert.rst, rec.parab, d, False)
-    ca = rec.c_alpha
+    m = _dijkstra_cached(rs.rst, parab, d, False)
     cost = cert.cost
     cost_matches = cost == m and (ca is None or cost == ca)
     if not cost_matches:

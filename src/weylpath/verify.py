@@ -32,10 +32,9 @@ from __future__ import annotations
 import json
 import sys
 from collections import namedtuple
-from functools import lru_cache
 
 from .certificates import _catalog_covers, best_certificate
-from .rootsystem import _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, RootSystemType, build
+from .rootsystem import _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, build
 from .vanishing import (
     VanishingResult, check_certificate, shortest_path, vanishing_result,
 )
@@ -75,10 +74,18 @@ def list_minuscule(family, rank: int | None = None) -> list:
     return minuscule_indices(build(family, rank))
 
 
-@lru_cache(maxsize=None)
-def _verify_cached(rst: RootSystemType, omitted: int, relaxed: bool,
-                   with_witnesses: bool) -> VerificationReport:
-    rs = build(rst)
+def verify(family, rank: int | None = None, omitted: int | None = None, *,
+           relaxed_edges: bool = False, with_witnesses: bool = False) -> VerificationReport:
+    """Full vanishing-order report for one (system, maximal parabolic).
+
+    The report is assembled on every call from the cached oracles; with
+    ``with_witnesses`` each witness not held by a path certificate is
+    walked again, as every :func:`shortest_path` call walks it.
+    """
+    rs = build(family, rank)
+    if omitted is None:
+        raise RootSystemError("an omitted simple index is required")
+    rs._check_index(omitted)
     parab = Parabolic.maximal(rs.rank, omitted)
     rows = []
     witnesses = [] if with_witnesses else None
@@ -87,7 +94,7 @@ def _verify_cached(rst: RootSystemType, omitted: int, relaxed: bool,
         rep = check_certificate(rs, cert)
         cost = rep.cost if rep.valid else None
         rows.append(vanishing_result(rs, parab, d, certificate_cost=cost,
-                                     relaxed_extra=relaxed))
+                                     relaxed_extra=relaxed_edges))
         if with_witnesses:
             # A path certificate already holds the canonical witness's steps.
             steps = cert.entries if cert.origin == "path" else shortest_path(rs, parab, d)[1]
@@ -95,8 +102,8 @@ def _verify_cached(rst: RootSystemType, omitted: int, relaxed: bool,
     sum_m = sum(r.m_dijkstra for r in rows)
     dim = dim_quotient(rs, parab)
     return VerificationReport(
-        family=rst.family,
-        rank=rst.rank,
+        family=rs.rst.family,
+        rank=rs.rank,
         omitted=omitted,
         minuscule=omitted in minuscule_indices(rs),
         rows=tuple(rows),
@@ -105,16 +112,6 @@ def _verify_cached(rst: RootSystemType, omitted: int, relaxed: bool,
         identity=sum_m == dim,
         witnesses=tuple(witnesses) if with_witnesses else None,
     )
-
-
-def verify(family, rank: int | None = None, omitted: int | None = None, *,
-           relaxed_edges: bool = False, with_witnesses: bool = False) -> VerificationReport:
-    """Full vanishing-order report for one (system, maximal parabolic)."""
-    rs = build(family, rank)
-    if omitted is None:
-        raise RootSystemError("an omitted simple index is required")
-    rs._check_index(omitted)
-    return _verify_cached(rs.rst, omitted, bool(relaxed_edges), bool(with_witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,29 @@ def test_shape_defect_names_its_field(kind, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: malformed certificate data: {message}\n"
 
 
+# A document that is not an object, or that lacks a key, says so.
+DOCUMENT_DEFECTS = {
+    "list": (lambda doc: [1, 2], "certificate must be an object, got list"),
+    "string": (lambda doc: "text", "certificate must be an object, got str"),
+    "null": (lambda doc: None, "certificate must be an object, got NoneType"),
+    "no_family": (lambda doc: {k: v for k, v in doc.items() if k != "family"},
+                  "missing key 'family'"),
+    "entry_without_multiplicity": (lambda doc: {**doc, "entries": [{"root_coords": [1, 1, 1]}]},
+                                   "entries[0] has no 'multiplicity'"),
+    "entry_without_root_coords": (lambda doc: {**doc, "entries": [{"multiplicity": 1}]},
+                                  "entries[0] has no 'root_coords'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_DEFECTS))
+def test_document_defect_names_document_or_key(kind):
+    replace, message = DOCUMENT_DEFECTS[kind]
+    doc = replace(certificate_to_dict(catalog_certificate(build("A3"), P(3, 2), 2)))
+    with pytest.raises(RootSystemError) as exc:
+        certificate_from_dict(json.loads(json.dumps(doc)))
+    assert str(exc.value) == f"malformed certificate data: {message}"
+
+
 # The coordinate check is one pass over the value types; its message still
 # names the first value that is not a plain integer.
 BAD_COORDINATES = [True, False, 1.0, 0.5, "1", None, [1], {"x": 1}]

@@ -161,6 +161,14 @@ def test_missing_file_is_error(capsys):
     assert "error:" in err
 
 
+def test_document_not_an_object_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "check-cert", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed certificate data: certificate must be an object, got list\n"
+
+
 def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "nested.json"
     path.write_text("[" * 100_000)

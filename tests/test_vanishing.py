@@ -419,6 +419,22 @@ def test_witness_walk_failure_names_configuration_layer_and_budget(monkeypatch):
         shortest_path(rs, P(4, 4), 2)
 
 
+@pytest.mark.parametrize("oracle, layer", [(dijkstra_order, "path order: no path"),
+                                           (lattice_lower_bound, "lattice: no decomposition")])
+def test_search_failure_names_configuration_layer_and_ceiling(monkeypatch, oracle, layer):
+    # The ceiling is the height of the start's residual on its Levi-dominant
+    # point: the source for the order, the target weight for the lattice.
+    rs, parab, d = build("B4"), P(4, 4), 2
+    tw = target_weight(rs, parab, d)
+    start = source_weight(rs, parab, d) if oracle is dijkstra_order else tw.value
+    ceiling = sum(_search_data(rs.rst, d, False).canon(start, tw.root_coords)[1])
+    clear_caches()
+    monkeypatch.setattr(vanishing, "_depth_first", lambda *args: None)
+    with pytest.raises(vanishing.InternalInconsistencyError,
+                       match=rf"^B4 P=\[4\] d=2: {layer} within ceiling {ceiling}$"):
+        oracle(rs, parab, d)
+
+
 # -- lattice oracle ----------------------------------------------------------
 
 def test_lattice_single_root_targets():

@@ -305,6 +305,29 @@ def test_clear_caches_empties_every_cache():
     assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
 
 
+def test_only_computations_are_cached():
+    # The oracles' answers and their inputs are cached; a record assembled
+    # from them, such as a report, is built when it is needed.
+    assert sorted(c.__qualname__ for c in _weylpath_caches()) == sorted([
+        "_build_cached", "_reflection_tables", "_raise_over_w", "_targets", "_search_data",
+        "_estimator", "_dijkstra_cached", "_lattice_cached", "_maximal_at"])
+
+
+def test_cold_verify_finds_the_distinguished_index_once(monkeypatch):
+    # It depends on the parabolic only, so the target record computes it
+    # once for every d.
+    vanishing = sys.modules["weylpath.vanishing"]
+    distinguished, calls = vanishing._distinguished, []
+    monkeypatch.setattr(vanishing, "_distinguished",
+                        lambda rs, parab: calls.append(parab) or distinguished(rs, parab))
+    for family, rank, p in (("A", 5, 2), ("B", 4, 4), ("C", 4, 1), ("D", 5, 3), ("E", 6, 1)):
+        clear_caches()
+        calls.clear()
+        verify(family, rank, omitted=p, relaxed_edges=True, with_witnesses=True)
+        assert calls == [Parabolic.maximal(rank, p)], (family, rank, p)
+    clear_caches()
+
+
 def test_clear_caches_finds_a_cache_in_a_module_imported_later(monkeypatch):
     module = sys.modules["weylpath.verify"]
     clear_caches()
