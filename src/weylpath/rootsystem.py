@@ -336,13 +336,6 @@ class RootSystem:
         c = tuple(coords)
         return c in self._root_index or tuple(-x for x in c) in self._root_index
 
-    def root_index(self, coords) -> int:
-        """Index of a positive root in the canonical enumeration."""
-        try:
-            return self._root_index[tuple(coords)]
-        except KeyError:
-            raise RootSystemError(f"{tuple(coords)} is not a positive root of {self.rst}") from None
-
     def height(self, coords) -> int:
         return sum(coords)
 

@@ -26,7 +26,7 @@ Every route starts from the target, and the targets of all d come from
 two packed raises.  -w0 is linear and -sum_d M**(d-1) omega_d is
 regular antidominant, so one raise of it over all of W gives every
 b_d = omega_d - w0(omega_d) in root coordinates as base-M digits, once
-per system (:func:`_raise_over_w`); one raise of the packed result over
+per system (:func:`_system`); one raise of the packed result over
 the Levi gives every tau(-w0(omega_d)) and the target b_d - c_d, once
 per (system, parabolic) (:func:`_targets`).  The digits satisfy
 0 <= c_d <= b_d <= 2 rho, so M = 2**bitlen(2 |R+| max(theta)) lies above
@@ -43,7 +43,7 @@ bound (unit root subtractions) run it on orbits under budgets deepened
 from the start's estimate to the start residual's height
 (:func:`_deepen`); the witness runs it on single weights under the
 order.  Candidate roots come lazily from per-system bitsets
-(:func:`_reflection_tables`): the usable set at d, less the roots the
+(:func:`_system`): the usable set at d, less the roots the
 stabilizer moves, those that do not fit under the residual and those
 whose child cannot meet the slack (:func:`_make_moves`).
 
@@ -146,50 +146,6 @@ class VanishingResult(namedtuple("VanishingResult", [
 # dominant points of Weyl-group orbits
 # ---------------------------------------------------------------------------
 
-class _Tables(namedtuple("_Tables", [
-    "cols",     # cols[i]: the (j, <alpha_{i+1}, alpha_{j+1}^vee>) that are nonzero
-    "blocked",  # blocked[i]: roots with <beta, alpha_{i+1}^vee> > 0
-    "atleast",  # atleast[j][t]: roots with coefficient at least t at j
-    "tops",     # theta_j + 1, so atleast[j][tops[j]] is empty
-])):
-    """Per-system data of the searches and the raises; see :func:`_reflection_tables`."""
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=None)
-def _reflection_tables(rst: RootSystemType) -> _Tables:
-    """The root system's stored sparse Cartan columns and two bitset tables
-    over its positive roots, bit k standing for ``rs.positive_roots[k]``.
-
-    ``atleast[j][t]`` runs over t = 0..theta_j + 1 with theta the highest
-    root, so ``atleast[j][0]`` holds every root and the last entry none.
-    Each bitset is one column of the roots' coordinates as bytes, mapped
-    by ``bytes.translate`` to the digits ``0`` and ``1`` and read by
-    ``int(..., 2)``, highest root first.
-    """
-    rs = build(rst)
-    roots, n = rs.positive_roots, rs.rank
-
-    def bitset(column, table):
-        return int(column.translate(table)[::-1], 2)
-
-    # Pairings lie in -3..3; packed as signed bytes, exactly 1..127 are positive.
-    flat = [*chain.from_iterable(rs._fund_coords)]
-    pairings = struct.pack(f"{len(flat)}b", *flat)
-    positive = b"0" + b"1" * 127 + b"0" * 128
-    coeffs = bytes(chain.from_iterable(roots))
-    every = (1 << len(roots)) - 1
-    return _Tables(
-        cols=rs._cartan_cols,
-        blocked=tuple(bitset(pairings[i::n], positive) for i in range(n)),
-        atleast=tuple((every, *(bitset(coeffs[j::n], b"0" * t + b"1" * (256 - t))
-                                for t in range(1, top + 1)), 0)
-                      for j, top in enumerate(roots[-1])),
-        tops=tuple(t + 1 for t in roots[-1]),
-    )
-
-
 def _make_canon(cols, indices):
     """The W_J-dominant point of the orbit of a state ``(chi, v)``.
 
@@ -233,14 +189,14 @@ def _raise(cols, indices, chi):
 
 
 # ---------------------------------------------------------------------------
-# target weight
+# per-system record and target weight
 # ---------------------------------------------------------------------------
 
 def _digit_bits(rs: RootSystem) -> int:
     """Bits s of the digit base M = 2**s of the packed raises.
 
     The root-coordinate digits b_d = omega_d + omega_{sigma(d)} and c_d
-    (:func:`_raise_over_w`, :func:`_targets`) satisfy 0 <= c_d <= b_d <= 2 rho,
+    (:func:`_system`, :func:`_targets`) satisfy 0 <= c_d <= b_d <= 2 rho,
     whose coefficients are sums of |R+| root coefficients, each at most
     max(theta).  The weight digits tau(omega_{sigma(d)}) pair omega_{sigma(d)}
     with coroots, so they are at most the highest coroot's coefficients,
@@ -273,22 +229,76 @@ def _unpack(packed, bits: int, where: str) -> tuple:
     return tuple(zip(*rows))
 
 
-@lru_cache(maxsize=None)
-def _raise_over_w(rst: RootSystemType):
-    """-w0 and every omega_d + omega_{sigma(d)}, sigma = -w0, from one raise.
+class _System(namedtuple("_System", [
+    "blocked",   # blocked[i]: roots with <beta, alpha_{i+1}^vee> > 0
+    "atleast",   # atleast[j][t]: roots with coefficient at least t at j
+    "tops",      # theta_j + 1, so atleast[j][tops[j]] is empty
+    "bits",      # the packed raises' digit base is M = 2**bits
+    "lam",       # sum_d M**(d-1) omega_{sigma(d)}, sigma = -w0
+    "b",         # digit d - 1 of each entry: b_d = omega_d + omega_{sigma(d)}
+    "estimate",  # admissible lower bound on the cost of clearing a residual
+])):
+    __slots__ = ()
 
-    -w0 is linear, and the packed weight -sum_d M**(d-1) omega_d is regular
-    antidominant, so w0 takes it to its dominant point.  Raising it over
-    all of W therefore gives ``lam = sum_d M**(d-1) omega_{sigma(d)}`` and
-    ``b``, whose digit d - 1 in each entry is the root coordinate of
-    b_d = omega_d + omega_{sigma(d)}.  Returns ``(bits, lam, b)`` with
-    M = 2**bits from :func:`_digit_bits`; it depends on the system only.
+
+@lru_cache(maxsize=None)
+def _system(rst: RootSystemType) -> _System:
+    """The per-system inputs of the searches and the target raises.
+
+    ``blocked`` and ``atleast`` are bitsets over the positive roots, bit k
+    standing for ``rs.positive_roots[k]``; ``atleast[j][t]`` runs over
+    t = 0..theta_j + 1 with theta the highest root, so ``atleast[j][0]``
+    holds every root and the last entry none.  Each bitset is one column
+    of the roots' coordinates as bytes, mapped by ``bytes.translate`` to
+    the digits ``0`` and ``1`` and read by ``int(..., 2)``, highest root
+    first.
+
+    ``lam`` and ``b`` come from one raise.  -w0 is linear, and the packed
+    weight -sum_d M**(d-1) omega_d is regular antidominant, so w0 takes it
+    to its dominant point; raising it over all of W gives -w0 of every
+    omega_d at once, with M = 2**bits from :func:`_digit_bits`.
+
+    ``estimate(v)`` is the larger of: per simple index j, the residual
+    coefficient over the largest j-coefficient of a usable root; and, in
+    the classical families, the residual's epsilon L1 norm (``_eps_l1``)
+    over the largest of a usable root, since each unit of cost moves at
+    most that many epsilon units.  Both constants are the highest root's
+    (:func:`_estimator_bounds`) at every d.
     """
     rs = build(rst)
-    n = rs.rank
+    roots, n = rs.positive_roots, rs.rank
+
+    def bitset(column, table):
+        return int(column.translate(table)[::-1], 2)
+
+    # Pairings lie in -3..3; packed as signed bytes, exactly 1..127 are positive.
+    flat = [*chain.from_iterable(rs._fund_coords)]
+    pairings = struct.pack(f"{len(flat)}b", *flat)
+    positive = b"0" + b"1" * 127 + b"0" * 128
+    coeffs = bytes(chain.from_iterable(roots))
+    every = (1 << len(roots)) - 1
     bits = _digit_bits(rs)
-    lam, b = _raise(_reflection_tables(rst).cols, range(n), tuple(-1 << (bits * j) for j in range(n)))
-    return bits, lam, b
+    lam, b = _raise(rs._cartan_cols, range(n), tuple(-1 << (bits * j) for j in range(n)))
+    maxcoef, maxstep = _estimator_bounds(rs)
+    l1 = _eps_l1(rst.family)
+
+    def estimate(v) -> int:
+        h = 0
+        for vj, mj in zip(v, maxcoef):
+            if vj > h * mj:  # ceil(vj / mj) > h
+                h = -(-vj // mj)
+        if maxstep and (q := -(-l1(v) // maxstep)) > h:
+            h = q
+        return h
+
+    return _System(
+        blocked=tuple(bitset(pairings[i::n], positive) for i in range(n)),
+        atleast=tuple((every, *(bitset(coeffs[j::n], b"0" * t + b"1" * (256 - t))
+                                for t in range(1, top + 1)), 0)
+                      for j, top in enumerate(roots[-1])),
+        tops=tuple(t + 1 for t in roots[-1]),
+        bits=bits, lam=lam, b=b, estimate=estimate,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -301,19 +311,19 @@ def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
     -lam_d over the Levi gives -tau(lam_d) = -lam_d + c_d, so the target
     omega_d + tau(lam_d) is b_d - c_d in root coordinates, integral by
     construction.  The raise is linear on -lam_d, which is antidominant,
-    so one raise of the packed -lam of :func:`_raise_over_w` gives every
+    so one raise of the packed -lam of :func:`_system` gives every
     c_d and every tau(lam_d) at once, read off by :func:`_unpack`.  Each
     target is a sum of positive roots, which the check below confirms.
     """
     rs = build(rst)
     rs._check_parabolic(parab)
     alpha = _distinguished(rs, parab)
-    bits, lam, b = _raise_over_w(rst)
+    system = _system(rst)
     levi = [i - 1 for i in sorted(parab.retained)]
-    neg_tau, c = _raise(_reflection_tables(rst).cols, levi, tuple(-x for x in lam))
+    neg_tau, c = _raise(rs._cartan_cols, levi, tuple(-x for x in system.lam))
     where = f"{rst} P={sorted(parab.omitted)}: target"
-    coords = _unpack(tuple(map(sub, b, c)), bits, where)
-    sources = _unpack(tuple(-x for x in neg_tau), bits, where)
+    coords = _unpack(tuple(map(sub, system.b, c)), system.bits, where)
+    sources = _unpack(tuple(-x for x in neg_tau), system.bits, where)
     out = []
     for d, (root_coords, source) in enumerate(zip(coords, sources), start=1):
         if min(root_coords) < 0:
@@ -392,7 +402,7 @@ def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     """Steps ``(r, k)`` along positive root k from a Levi-dominant state
     ``(chi, v)`` under a slack, lazily.
 
-    ``usable`` is the bitset of usable roots (see :func:`_reflection_tables`).
+    ``usable`` is the bitset of usable roots (see :func:`_system`).
     A ladder step costs r = <chi, beta^vee> in 1..``slack`` and subtracts
     r*beta; its residual stays nonnegative, as every ladder state lies in
     the W-orbit of the antidominant -omega_d and so above it.  A unit step
@@ -409,7 +419,8 @@ def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     The caller builds the children it tries (:func:`_make_step`); they may
     repeat an orbit.
     """
-    _, blocked, atleast, tops = _reflection_tables(rs.rst)
+    system = _system(rs.rst)
+    blocked, atleast, tops = system.blocked, system.atleast, system.tops
     coroots, theta = rs._coroots, rs.positive_roots[-1]
 
     def successors(chi, v, slack):
@@ -479,18 +490,18 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
     ``canon`` is the identity.
     """
     rs = build(rst)
-    cols, _, atleast, _ = _reflection_tables(rst)
+    system = _system(rst)
     if relaxed:
         usable, levi, canon = (1 << len(rs.positive_roots)) - 1, (), _same
     else:
-        usable, levi = atleast[d - 1][1], tuple(i for i in range(rs.rank) if i != d - 1)
-        canon = _make_canon(cols, levi)
+        usable, levi = system.atleast[d - 1][1], tuple(i for i in range(rs.rank) if i != d - 1)
+        canon = _make_canon(rs._cartan_cols, levi)
     return _Search(
         walk=_make_moves(rs, usable, (), True),
         ladder=_make_moves(rs, usable, levi, True),
         subtract=_make_moves(rs, usable, levi, False),
         step=_make_step(rs, canon),
-        estimate=_estimator(rst),
+        estimate=system.estimate,
         canon=canon,
     )
 
@@ -501,32 +512,6 @@ def _estimator_bounds(rs: RootSystem):
     has full support and dominates every positive root, with norm 2."""
     theta, l1 = rs.positive_roots[-1], _eps_l1(rs.rst.family)
     return theta, l1(theta) if l1 else 0
-
-
-@lru_cache(maxsize=None)
-def _estimator(rst: RootSystemType):
-    """Admissible lower bound on the cost still needed to clear a residual.
-
-    The larger of: per simple index j, the residual coefficient over the
-    largest j-coefficient of a usable root; and, in the classical families,
-    the residual's epsilon L1 norm (``_eps_l1``) over the largest of a
-    usable root, since each unit of cost moves at most that many epsilon
-    units.  Both constants are the highest root's
-    (:func:`_estimator_bounds`) at every d, so it is built once per system.
-    """
-    maxcoef, maxstep = _estimator_bounds(build(rst))
-    l1 = _eps_l1(rst.family)
-
-    def estimate(v) -> int:
-        h = 0
-        for vj, mj in zip(v, maxcoef):
-            if vj > h * mj:  # ceil(vj / mj) > h
-                h = -(-vj // mj)
-        if maxstep and (q := -(-l1(v) // maxstep)) > h:
-            h = q
-        return h
-
-    return estimate
 
 
 def _deepen(search, moves, chi, v, config, missing: str) -> int:
@@ -670,11 +655,12 @@ def coefficient_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int
     return _target_cached(rs.rst, parabolic, d)[2]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _maximal_at(rank: int, i: int):
     """The maximal parabolic omitting i and -omega_i, interned per (rank, i):
     the checker builds neither per certificate, and keys the target and path
-    caches on the parabolic."""
+    caches on the parabolic.  Keys are typed, so ``True`` and ``1.0`` miss
+    the entry of 1 and reach :class:`Parabolic`'s plain-integer check."""
     return Parabolic.maximal(rank, i), tuple(-int(j == i - 1) for j in range(rank))
 
 

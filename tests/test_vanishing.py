@@ -921,6 +921,20 @@ def test_hand_built_certificate_out_of_range_raises_root_system_error(label):
             check_certificate(rs, Certificate(rst=rs.rst, omitted=omitted, d=d, entries=entries))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("warm", [False, True])
+def test_non_integer_omitted_rejected_cold_and_warm(bad, warm):
+    # An untyped lru_cache keys True and 1.0 as 1; the verdict must not depend on
+    # whether the certificate at omitted=1 was checked first.
+    rs = build("A3")
+    cert = catalog_certificate(rs, P(3, 1), 1)
+    clear_caches()
+    if warm:
+        assert check_certificate(rs, cert).valid
+    with pytest.raises(RootSystemError, match="plain integers"):
+        check_certificate(rs, cert._replace(omitted=bad))
+
+
 def test_coefficient_bound_never_runs_the_path_or_lattice_oracle(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"oracle called with {args}")

@@ -309,8 +309,20 @@ def test_only_computations_are_cached():
     # The oracles' answers and their inputs are cached; a record assembled
     # from them, such as a report, is built when it is needed.
     assert sorted(c.__qualname__ for c in _weylpath_caches()) == sorted([
-        "_build_cached", "_reflection_tables", "_raise_over_w", "_targets", "_search_data",
-        "_estimator", "_dijkstra_cached", "_lattice_cached", "_maximal_at"])
+        "_build_cached", "_system", "_targets", "_search_data", "_dijkstra_cached",
+        "_lattice_cached", "_maximal_at"])
+
+
+def test_cold_verify_builds_the_system_record_once():
+    # The bitsets, the raise over W and the estimator are one record per
+    # system, which every d and every search reads.
+    vanishing = sys.modules["weylpath.vanishing"]
+    for family, rank, p in (("A", 5, 2), ("B", 4, 4), ("C", 4, 1), ("D", 5, 3), ("E", 6, 1),
+                            ("G", 2, 1)):
+        clear_caches()
+        verify(family, rank, omitted=p, relaxed_edges=True, with_witnesses=True)
+        assert vanishing._system.cache_info().misses == 1, (family, rank, p)
+    clear_caches()
 
 
 def test_cold_verify_finds_the_distinguished_index_once(monkeypatch):
