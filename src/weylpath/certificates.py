@@ -261,14 +261,13 @@ def catalog_pair_choices(rs: RootSystem, d: int) -> list:
     return out
 
 
-def path_certificate(rs: RootSystem, parabolic: Parabolic, d: int,
-                     relaxed: bool = False) -> Certificate:
+def path_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate:
     """Certificate read off the canonical cheapest extremal-weight path.
 
     Always available; the sequential ladder holds by construction.  This
     is the generic route for configurations without tabulated tuples.
     """
-    _, steps, _ = shortest_path(rs, parabolic, d, relaxed=relaxed)
+    _, steps, _ = shortest_path(rs, parabolic, d)
     return Certificate(
         rst=rs.rst, omitted=parabolic.omitted_index, d=d,
         entries=tuple((coords, r) for coords, r in steps),

@@ -51,8 +51,6 @@ def _build_parser():
     p = sub.add_parser("verify", help="vanishing report for one parabolic")
     _add_system_args(p, parabolic=True)
     p.add_argument("--format", choices=("json", "markdown"), default="markdown")
-    p.add_argument("--relaxed-edges", action="store_true",
-                   help="also report path costs with every positive root usable")
     p.add_argument("--expect-minuscule", action="store_true",
                    help="exit nonzero unless the parabolic is minuscule and the identity holds")
     p.add_argument("--witnesses", action="store_true", help="include cheapest paths")
@@ -85,8 +83,7 @@ def _cmd_list_minuscule(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = verify(args.family, args.rank, omitted=args.parabolic,
-                 relaxed_edges=args.relaxed_edges, with_witnesses=args.witnesses)
+    rep = verify(args.family, args.rank, omitted=args.parabolic, with_witnesses=args.witnesses)
     print(report_to_json(rep) if args.format == "json" else report_to_markdown(rep), end="")
     if args.expect_minuscule and not (rep.minuscule and rep.identity):
         print(f"expectation failed: minuscule={rep.minuscule} identity={rep.identity}",

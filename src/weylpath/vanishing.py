@@ -35,17 +35,18 @@ every one of them (:func:`_digit_bits`).
 The Levi Weyl group W_L at d (the s_i, i != d) permutes the usable
 roots, fixes omega_d and keeps every pairing <chi, beta^vee>, so the
 path and lattice distances are W_L-invariant and their searches run on
-Levi-dominant points (:func:`_search_data`); relaxed searches also step
-along Levi roots, which W_L does not permute.  Every search is one
-depth-first routine (:func:`_depth_first`) with a memo of orbits that
-do not fit a budget.  The path order (ladder steps) and the lattice
-bound (unit root subtractions) run it on orbits under budgets deepened
-from the start's estimate to the start residual's height
-(:func:`_deepen`); the witness runs it on single weights under the
-order.  Candidate roots come lazily from per-system bitsets
-(:func:`_system`): the usable set at d, less the roots the
-stabilizer moves, those that do not fit under the residual and those
-whose child cannot meet the slack (:func:`_make_moves`).
+Levi-dominant points (:func:`_search_data`).  Levi roots are not
+usable: a step along one is a W_L move of cost r >= 1, so it never
+shortens a path.  Every search is one depth-first routine
+(:func:`_depth_first`) with a memo of orbits that do not fit a budget.
+The path order (ladder steps) and the lattice bound (unit root
+subtractions) run it on orbits under budgets deepened from the start's
+estimate to the start residual's height (:func:`_deepen`); the witness
+runs it on single weights under the order.  Candidate roots come
+lazily from per-system bitsets (:func:`_system`): the usable set at d,
+less the roots the stabilizer moves, those that do not fit under the
+residual and those whose child cannot meet the slack
+(:func:`_make_moves`).
 
 The records :class:`TargetWeight`, :class:`Certificate`,
 :class:`CertificateValidation` and :class:`VanishingResult` are immutable
@@ -135,8 +136,7 @@ class CertificateValidation(namedtuple("CertificateValidation", [
 
 class VanishingResult(namedtuple("VanishingResult", [
     "d", "m_dijkstra", "m_lattice_lb", "c_alpha", "certificate_cost", "agreed",
-    "m_dijkstra_relaxed",
-], defaults=(None,))):
+])):
     """All routes to m_d for one fundamental index."""
 
     __slots__ = ()
@@ -353,11 +353,9 @@ def source_weight(rs: RootSystem, parabolic: Parabolic, d: int) -> Weight:
     return _target_cached(rs.rst, parabolic, d)[1]
 
 
-def allowed_root_indices(rs: RootSystem, d: int, relaxed: bool = False) -> tuple:
-    """Positive roots usable at index d: support meets d, or all if relaxed."""
+def allowed_root_indices(rs: RootSystem, d: int) -> tuple:
+    """Positive roots usable at index d: those whose support meets d."""
     rs._check_index(d)
-    if relaxed:
-        return tuple(range(len(rs.positive_roots)))
     return tuple(k for k, c in enumerate(rs.positive_roots) if c[d - 1] >= 1)
 
 
@@ -472,7 +470,7 @@ class _Search(namedtuple("_Search", [
 
 
 @lru_cache(maxsize=None)
-def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
+def _search_data(rst: RootSystemType, d: int) -> _Search:
     """The searches' successors, steps, estimator and canonicalizer at d.
 
     Both searches carry a state ``(chi, v)``: a weight in fundamental and
@@ -486,16 +484,12 @@ def _search_data(rst: RootSystemType, d: int, relaxed: bool) -> _Search:
     where ``step`` lands; ``walk`` is the ladder on single weights, which
     the witness follows.  ``canon`` only raises v, and the estimator's
     epsilon part is W_L-invariant, so the estimator stays consistent on
-    orbit steps.  Relaxed searches also step along Levi roots, so there
-    ``canon`` is the identity.
+    orbit steps.
     """
     rs = build(rst)
     system = _system(rst)
-    if relaxed:
-        usable, levi, canon = (1 << len(rs.positive_roots)) - 1, (), _same
-    else:
-        usable, levi = system.atleast[d - 1][1], tuple(i for i in range(rs.rank) if i != d - 1)
-        canon = _make_canon(rs._cartan_cols, levi)
+    usable, levi = system.atleast[d - 1][1], tuple(i for i in range(rs.rank) if i != d - 1)
+    canon = _make_canon(rs._cartan_cols, levi)
     return _Search(
         walk=_make_moves(rs, usable, (), True),
         ladder=_make_moves(rs, usable, levi, True),
@@ -535,22 +529,22 @@ def _deepen(search, moves, chi, v, config, missing: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
+def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int) -> int:
     # The ladder on orbits, deepened: a step of cost r subtracts r*beta
     # with ht(beta) >= 1, so m <= ht(v), the ceiling of the deepening.
-    search = _search_data(rst, d, relaxed)
+    search = _search_data(rst, d)
     tw, source, _ = _target_cached(rst, parab, d)
     return _deepen(search, search.ladder, *search.canon(source, tw.root_coords),
                    (rst, parab, d), "path order: no path")
 
 
-def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False) -> int:
+def dijkstra_order(rs: RootSystem, parabolic: Parabolic, d: int) -> int:
     """Minimum cost of an extremal-weight path realizing m_d."""
     rs._check_index(d)
-    return _dijkstra_cached(rs.rst, parabolic, d, bool(relaxed))
+    return _dijkstra_cached(rs.rst, parabolic, d)
 
 
-def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = False):
+def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int):
     """One canonical cheapest path as ``(cost, steps, nodes)``.
 
     ``steps`` is a tuple of ``(root_coords, r)``; ``nodes`` the visited
@@ -562,8 +556,8 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
     the lexicographically first cheapest one, reproducible run to run.
     """
     rs._check_index(d)
-    m = _dijkstra_cached(rs.rst, parabolic, d, bool(relaxed))
-    search = _search_data(rs.rst, d, bool(relaxed))
+    m = _dijkstra_cached(rs.rst, parabolic, d)
+    search = _search_data(rs.rst, d)
     funds = rs._fund_coords
 
     def children(chi, v, left):
@@ -587,27 +581,26 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int, relaxed: bool = 
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int, relaxed: bool) -> int:
+def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int) -> int:
     # Shortest path in the lattice-point DAG: states are the nonnegative
     # residuals below the target, with their own weights as chi, and each
     # edge subtracts one usable root at unit cost; no ladder constraint.
     # Deepened from the start's estimate, usually exact, up to ht(v0),
     # which the cheapest ladder, itself a decomposition, fits in.
-    search = _search_data(rst, d, relaxed)
+    search = _search_data(rst, d)
     tw = _target_cached(rst, parab, d)[0]
     return _deepen(search, search.subtract, *search.canon(tw.value, tw.root_coords),
                    (rst, parab, d), "lattice: no decomposition")
 
 
-def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int,
-                        relaxed: bool = False) -> int:
+def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int:
     """Exact min of sum(n_j) over decompositions of the target.
 
     This enumeration knows nothing about extremal-weight ladders and
     serves as the independent brute-force oracle.
     """
     rs._check_index(d)
-    return _lattice_cached(rs.rst, parabolic, d, bool(relaxed))
+    return _lattice_cached(rs.rst, parabolic, d)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +769,7 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     # sink exactly when the entries sum to the target: clause (a).
     ladder_uniform = ladder_uniform and sum_matches
 
-    m = _dijkstra_cached(rs.rst, parab, d, False)
+    m = _dijkstra_cached(rs.rst, parab, d)
     cost = cert.cost
     cost_matches = cost == m and (ca is None or cost == ca)
     if not cost_matches:
@@ -799,8 +792,7 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
 
 
 def vanishing_result(rs: RootSystem, parabolic: Parabolic, d: int,
-                     certificate_cost: int | None = None,
-                     relaxed_extra: bool = False) -> VanishingResult:
+                     certificate_cost: int | None = None) -> VanishingResult:
     """Assemble all routes to m_d and check that the defined ones agree."""
     m = dijkstra_order(rs, parabolic, d)
     lat = lattice_lower_bound(rs, parabolic, d)
@@ -812,8 +804,7 @@ def vanishing_result(rs: RootSystem, parabolic: Parabolic, d: int,
     values = [m, lat] + ([ca] if ca is not None else []) \
         + ([certificate_cost] if certificate_cost is not None else [])
     agreed = len(set(values)) == 1
-    mrel = dijkstra_order(rs, parabolic, d, relaxed=True) if relaxed_extra else None
     return VanishingResult(
         d=d, m_dijkstra=m, m_lattice_lb=lat, c_alpha=ca,
-        certificate_cost=certificate_cost, agreed=agreed, m_dijkstra_relaxed=mrel,
+        certificate_cost=certificate_cost, agreed=agreed,
     )

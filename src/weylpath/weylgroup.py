@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .rootsystem import Parabolic, Root, RootSystem, RootSystemError, Weight
 
@@ -37,13 +38,14 @@ def words_equal(rs: RootSystem, u: Sequence, v: Sequence) -> bool:
 
 
 def word_length(rs: RootSystem, word: Sequence) -> int:
-    """Coxeter length: number of positive roots sent negative."""
-    count = 0
-    for c in rs.positive_roots:
-        img = apply_word_to_root(rs, word, c)
-        if all(x <= 0 for x in img):
-            count += 1
-    return count
+    """Coxeter length: number of positive roots sent negative.
+
+    w^-1 sends beta > 0 negative exactly when <w(rho), beta^vee> < 0, as
+    rho is strictly dominant, and l(w^-1) = l(w); so one image of rho,
+    paired with every positive coroot, gives the length.
+    """
+    img = apply_word(rs, word, rs.rho)
+    return sum(1 for c in rs._coroots if sum(map(mul, img, c)) < 0)
 
 
 def longest_element(rs: RootSystem, subset: Iterable | None = None) -> WeylWord:

@@ -58,14 +58,12 @@ def test_verify_expect_minuscule_success(capsys):
     assert code == 0
 
 
-def test_verify_relaxed_and_witnesses(capsys):
+def test_verify_witnesses(capsys):
     code, out, _ = run(capsys, "verify", "--family", "A", "--rank", "3",
-                       "--parabolic", "2", "--relaxed-edges", "--witnesses",
-                       "--format", "json")
+                       "--parabolic", "2", "--witnesses", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["witnesses"] is not None
-    assert all(r["m_dijkstra_relaxed"] is not None for r in data["rows"])
 
 
 def test_verify_all(capsys):

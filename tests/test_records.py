@@ -44,22 +44,20 @@ RECORDS = [
      "omitted=1, d=1, entries=(((1, 0), 1),), origin=''), roots_ok=True, outside_levi=True, "
      "sum_matches=False, orthogonal=True, ladder_uniform=False, ladder_sequential=True, "
      "cost=1, dijkstra=1, c_alpha=None, cost_matches=True, failures=())"),
-    (ROW, ("d", "m_dijkstra", "m_lattice_lb", "c_alpha", "certificate_cost", "agreed",
-           "m_dijkstra_relaxed"), {"m_dijkstra_relaxed": None},
+    (ROW, ("d", "m_dijkstra", "m_lattice_lb", "c_alpha", "certificate_cost", "agreed"), {},
      "VanishingResult(d=1, m_dijkstra=1, m_lattice_lb=1, c_alpha=1, certificate_cost=1, "
-     "agreed=True, m_dijkstra_relaxed=None)"),
+     "agreed=True)"),
     (REPORT, ("family", "rank", "omitted", "minuscule", "rows", "sum_m", "dim_gp",
               "identity", "witnesses"), {"witnesses": None},
      "VerificationReport(family='A', rank=1, omitted=1, minuscule=True, rows=("
      "VanishingResult(d=1, m_dijkstra=1, m_lattice_lb=1, c_alpha=1, certificate_cost=1, "
-     "agreed=True, m_dijkstra_relaxed=None),), sum_m=1, dim_gp=1, identity=True, "
-     "witnesses=None)"),
+     "agreed=True),), sum_m=1, dim_gp=1, identity=True, witnesses=None)"),
     (SuiteReport(2, (REPORT,), (), (), (), (), ((2, 3, 3, False),), False),
      ("max_rank", "reports", "identity_failures", "disagreements", "spin_cross_checks",
       "parity_checks", "negative_checks", "ok"), {},
      "SuiteReport(max_rank=2, reports=(VerificationReport(family='A', rank=1, omitted=1, "
      "minuscule=True, rows=(VanishingResult(d=1, m_dijkstra=1, m_lattice_lb=1, c_alpha=1, "
-     "certificate_cost=1, agreed=True, m_dijkstra_relaxed=None),), sum_m=1, dim_gp=1, "
+     "certificate_cost=1, agreed=True),), sum_m=1, dim_gp=1, "
      "identity=True, witnesses=None),), identity_failures=(), disagreements=(), "
      "spin_cross_checks=(), parity_checks=(), negative_checks=((2, 3, 3, False),), ok=False)"),
 ]

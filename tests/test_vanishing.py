@@ -19,7 +19,7 @@ from weylpath.certificates import (
 )
 from weylpath.rootsystem import eps_from_root_coords
 from weylpath.vanishing import (
-    InternalInconsistencyError, TargetWeight, _estimator_bounds, _search_data,
+    InternalInconsistencyError, TargetWeight, _estimator_bounds, _search_data, _system,
     allowed_root_indices,
 )
 
@@ -273,14 +273,6 @@ def test_zero_order_when_no_node_is_omitted():
         assert dijkstra_order(rs, full, d) == 0
 
 
-def test_relaxed_edges_never_increase_cost():
-    for label, p in [("C4", 1), ("D5", 5), ("E6", 1), ("B4", 4)]:
-        rs = build(label)
-        parab = P(rs.rank, p)
-        for d in range(1, rs.rank + 1):
-            assert dijkstra_order(rs, parab, d, relaxed=True) <= dijkstra_order(rs, parab, d)
-
-
 def test_witness_path_steps_are_exact_reflections():
     for label, p in [("E6", 1), ("D6", 6), ("B4", 4), ("A5", 3)]:
         rs = build(label)
@@ -329,12 +321,12 @@ def _best_first(start, v0, successors, step, estimate, bound):
     return None
 
 
-def _probe_walk(rs, parab, d, relaxed):
+def _probe_walk(rs, parab, d):
     # The witness walk the depth-first walk replaced: greedy steps, each
     # successor proved by its own A* from its orbit, bounded by the budget
     # left after the step; a probe that found nothing is not repeated.
-    m = dijkstra_order(rs, parab, d, relaxed)
-    search = _search_data(rs.rst, d, relaxed)
+    m = dijkstra_order(rs, parab, d)
+    search = _search_data(rs.rst, d)
     cur, v, left = source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords, m
     steps, nodes, missed = [], [cur], set()
     while any(v):
@@ -358,18 +350,22 @@ def _probe_walk(rs, parab, d, relaxed):
 
 
 # Configurations outside witness_golden.json: the spin outliers past B8,
-# two E8 interior nodes, a D configuration with lattice < order, and a
-# relaxed one.
+# two E8 interior nodes and a D configuration with lattice < order,
+# checked on shortest_path, and E6/P4 on the path certificate.
 PROBE_CONFIGS = [(f"B{n}", n, False) for n in range(10, 15)] + [
     ("E8", 2, False), ("E8", 4, False), ("D8", 3, False), ("E6", 4, True)]
 
 
-@pytest.mark.parametrize("label,p,relaxed", PROBE_CONFIGS)
-def test_witness_walk_matches_probe_walk(label, p, relaxed):
+@pytest.mark.parametrize("label,p,certificate", PROBE_CONFIGS)
+def test_witness_walk_matches_probe_walk(label, p, certificate):
     rs = build(label)
     parab = P(rs.rank, p)
     for d in range(1, rs.rank + 1):
-        assert shortest_path(rs, parab, d, relaxed) == _probe_walk(rs, parab, d, relaxed), d
+        want = _probe_walk(rs, parab, d)
+        if certificate:
+            assert path_certificate(rs, parab, d).entries == want[1], d
+        else:
+            assert shortest_path(rs, parab, d) == want, d
 
 
 def test_witness_walk_is_one_depth_first_walk(monkeypatch):
@@ -427,7 +423,7 @@ def test_search_failure_names_configuration_layer_and_ceiling(monkeypatch, oracl
     rs, parab, d = build("B4"), P(4, 4), 2
     tw = target_weight(rs, parab, d)
     start = source_weight(rs, parab, d) if oracle is dijkstra_order else tw.value
-    ceiling = sum(_search_data(rs.rst, d, False).canon(start, tw.root_coords)[1])
+    ceiling = sum(_search_data(rs.rst, d).canon(start, tw.root_coords)[1])
     clear_caches()
     monkeypatch.setattr(vanishing, "_depth_first", lambda *args: None)
     with pytest.raises(vanishing.InternalInconsistencyError,
@@ -534,21 +530,25 @@ def _cheapest(search, moves, chi, v, slack):
 
 @pytest.mark.parametrize("label,p", [("A5", 3), ("B5", 5), ("C5", 1), ("D6", 3),
                                      ("E6", 4), ("F4", 2), ("G2", 1)])
-@pytest.mark.parametrize("relaxed", [False, True])
-def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
+@pytest.mark.parametrize("every_root", [False, True])
+def test_estimator_is_consistent_and_below_lattice(label, p, every_root):
     # A* ends at its first sink pop, which is exact only for a consistent
     # estimator: h(v) <= 1 + h(v - beta) for every usable beta, and
     # h(u) <= r + h(child) on every step of the orbit searches, whose
-    # children are canonicalized.  The depth-first order and witness walk
-    # need only admissibility, the last assertion below.  The lattice search's
-    # slack filter may drop only children that cannot fit the slack.
-    rng = random.Random(f"{label}/{p}/{relaxed}")
+    # children are canonicalized.  With ``every_root`` the first check runs
+    # over every positive root, as the reference search over all of them
+    # needs (test_relaxed_search_matches_plain_search).  The depth-first
+    # order and witness walk need only admissibility, the last assertion
+    # below.  The lattice search's slack filter may drop only children
+    # that cannot fit the slack.
+    rng = random.Random(f"{label}/{p}/{every_root}")
     rs = build(label)
     parab = P(rs.rank, p)
     for d in range(1, rs.rank + 1):
         T = target_weight(rs, parab, d).root_coords
-        search = _search_data(rs.rst, d, relaxed)
-        rootcos = [rs.positive_roots[k] for k in allowed_root_indices(rs, d, relaxed)]
+        search = _search_data(rs.rst, d)
+        usable = [rs.positive_roots[k] for k in allowed_root_indices(rs, d)]
+        rootcos = rs.positive_roots if every_root else usable
         estimate, canon = search.estimate, search.canon
         residuals = [T, (0,) * rs.rank] + [
             tuple(rng.randint(0, t) for t in T) for _ in range(60)
@@ -596,7 +596,7 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
             while any(v):
                 u, w = canon(chi, v)
                 plain, steps = {}, []
-                for beta in rootcos:
+                for beta in usable:
                     r = rs.pairing(u, beta)
                     if r < 1:
                         continue
@@ -610,7 +610,7 @@ def test_estimator_is_consistent_and_below_lattice(label, p, relaxed):
                 assert got == sorted((r, c, w2) for c, (r, w2) in plain.items()), (d, u)
                 r, beta = rng.choice(steps)
                 chi, v = rs.reflect_by_root(beta, u), tuple(a - r * b for a, b in zip(w, beta))
-        assert estimate(T) <= lattice_lower_bound(rs, parab, d, relaxed=relaxed)
+        assert estimate(T) <= lattice_lower_bound(rs, parab, d)
 
 
 def test_lattice_dives_one_child_per_unit_on_e8(monkeypatch):
@@ -651,7 +651,7 @@ def test_order_is_at_most_the_start_residual_height():
             parab = P(rs.rank, p)
             for d in range(1, rs.rank + 1):
                 T = target_weight(rs, parab, d).root_coords
-                start = _search_data(rs.rst, d, False).canon(source_weight(rs, parab, d), T)
+                start = _search_data(rs.rst, d).canon(source_weight(rs, parab, d), T)
                 assert dijkstra_order(rs, parab, d) <= sum(T) <= sum(start[1]), (label, p, d)
 
 
@@ -667,22 +667,23 @@ ESTIMATOR_LABELS = (
 @pytest.mark.parametrize("label", ESTIMATOR_LABELS)
 def test_estimator_bounds_match_scan_over_usable_roots(label):
     # The highest root's coefficients and epsilon L1 norm equal the
-    # largest ones among the usable roots at every d, relaxed or not.
+    # largest ones among the usable roots at every d, and among all
+    # positive roots.
     rs = build(label)
     classical = rs.rst.family in "ABCD"
     for d in range(1, rs.rank + 1):
-        for relaxed in (False, True):
-            rootcos = [rs.positive_roots[k] for k in allowed_root_indices(rs, d, relaxed)]
+        for rootcos in ([rs.positive_roots[k] for k in allowed_root_indices(rs, d)],
+                        rs.positive_roots):
             maxcoef = tuple(max(c[j] for c in rootcos) for j in range(rs.rank))
             maxstep = max(sum(map(abs, eps_from_root_coords(rs.rst, c))) for c in rootcos) \
                 if classical else 0
-            assert _estimator_bounds(rs) == (maxcoef, maxstep), (d, relaxed)
+            assert _estimator_bounds(rs) == (maxcoef, maxstep), (d, len(rootcos))
 
 
-def _plain_orders(rs, parab, d, relaxed):
+def _plain_orders(rs, parab, d, usable):
     # The order and the lattice bound searched one state at a time: the
-    # ladder and unit root subtraction over every usable root, no orbits.
-    usable = allowed_root_indices(rs, d, relaxed)
+    # ladder and unit root subtraction over the roots indexed by
+    # ``usable``, no orbits, no masks.
 
     def ladder(chi, v, _):
         for k in usable:
@@ -702,7 +703,7 @@ def _plain_orders(rs, parab, d, relaxed):
         v2 = step(v, v, r, k)[1]
         return v2, v2
 
-    estimate = _search_data(rs.rst, d, relaxed).estimate
+    estimate = _system(rs.rst).estimate
     T = target_weight(rs, parab, d).root_coords
     return (_best_first(source_weight(rs, parab, d), T, ladder, step, estimate, sum(T)),
             _best_first(T, T, subtract, unit, estimate, sum(T)))
@@ -718,51 +719,64 @@ def test_orbit_search_matches_plain_search(label, p):
     parab = P(rs.rank, p)
     for d in range(1, rs.rank + 1):
         got = (dijkstra_order(rs, parab, d), lattice_lower_bound(rs, parab, d))
-        assert got == _plain_orders(rs, parab, d, False), (label, p, d)
+        assert got == _plain_orders(rs, parab, d, allowed_root_indices(rs, d)), (label, p, d)
 
 
 @pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)
-@pytest.mark.parametrize("relaxed", [False, True])
-def test_order_matches_astar_over_the_orbit_ladder(label, p, relaxed):
+@pytest.mark.parametrize("single", [False, True])
+def test_order_matches_astar_over_the_orbit_ladder(label, p, single):
     # The depth-first order, by iterative deepening, against the heap
-    # search over the same ladder, estimator and ceiling.
+    # search over the same masked ladder, estimator and ceiling: on
+    # W_L-orbits, or with ``single`` on single weights, as the witness walks.
     rs = build(label)
     parab = P(rs.rank, p)
     for d in range(1, rs.rank + 1):
-        search = _search_data(rs.rst, d, relaxed)
-        start = search.canon(source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords)
-        want = _best_first(*start, search.ladder, search.step, search.estimate, sum(start[1]))
-        assert dijkstra_order(rs, parab, d, relaxed) == want, (label, p, d)
+        search = _search_data(rs.rst, d)
+        start = (source_weight(rs, parab, d), target_weight(rs, parab, d).root_coords)
+        if single:
+            moves, step = search.walk, vanishing._make_step(rs, vanishing._same)
+        else:
+            start, moves, step = search.canon(*start), search.ladder, search.step
+        want = _best_first(*start, moves, step, search.estimate, sum(start[1]))
+        assert dijkstra_order(rs, parab, d) == want, (label, p, d)
 
 
 @pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)
-@pytest.mark.parametrize("relaxed", [False, True])
-def test_lattice_matches_best_first_over_orbits(label, p, relaxed):
+@pytest.mark.parametrize("single", [False, True])
+def test_lattice_matches_best_first_over_orbits(label, p, single):
     # The lattice bound, by iterative deepening, against the heap search
-    # over the same unit subtractions, estimator and ceiling.
+    # over the same masked unit subtractions, estimator and ceiling: on
+    # W_L-orbits, or with ``single`` on single residuals.
     rs = build(label)
     parab = P(rs.rank, p)
     for d in range(1, rs.rank + 1):
-        search = _search_data(rs.rst, d, relaxed)
+        search = _search_data(rs.rst, d)
         tw = target_weight(rs, parab, d)
-        start = search.canon(tw.value, tw.root_coords)
-        want = _best_first(*start, search.subtract, search.step, search.estimate, sum(start[1]))
-        assert lattice_lower_bound(rs, parab, d, relaxed) == want, (label, p, d)
+        start = (tw.value, tw.root_coords)
+        if single:
+            moves = vanishing._make_moves(rs, _system(rs.rst).atleast[d - 1][1], (), False)
+            step = vanishing._make_step(rs, vanishing._same)
+        else:
+            start, moves, step = search.canon(*start), search.subtract, search.step
+        want = _best_first(*start, moves, step, search.estimate, sum(start[1]))
+        assert lattice_lower_bound(rs, parab, d) == want, (label, p, d)
 
 
 # The interior nodes where the order backs up most, and classical
-# configurations with lattice < order, unrelaxed and relaxed.
+# configurations with lattice < order, for the order and the witness;
+# with ``lattice`` True, for the lattice search.
 SLACK_CASES = [(label, p, False) for label, p in [
     ("E6", 4), ("E7", 2), ("E7", 3), ("E7", 4), ("E7", 5), ("F4", 2), ("B6", 6), ("C5", 1),
     ("D6", 3)]] + [(label, p, True) for label, p in [("B6", 6), ("C5", 1), ("D6", 3), ("E6", 4)]]
 
 
-@pytest.mark.parametrize("label,p,relaxed", SLACK_CASES)
-def test_slack_filter_keeps_every_child_that_fits(monkeypatch, label, p, relaxed):
-    # At every state the order and the witness visit, each step whose
-    # canonical child fits the budget left, r + h(child) <= left, is
-    # offered.  The reference pairs chi with every usable root, unfiltered;
-    # the orbit ladder keeps one root per stabilizer orbit, so there the
+@pytest.mark.parametrize("label,p,lattice", SLACK_CASES)
+def test_slack_filter_keeps_every_child_that_fits(monkeypatch, label, p, lattice):
+    # At every state a search visits, each step whose canonical child fits
+    # the budget left, r + h(child) <= left, is offered.  The reference
+    # pairs chi with every usable root, unfiltered, or in the lattice
+    # search subtracts every usable root that fits under the residual; the
+    # orbit searches keep one root per stabilizer orbit, so there the
     # canonical children are compared.
     clear_caches()
     rs = build(label)
@@ -778,21 +792,27 @@ def test_slack_filter_keeps_every_child_that_fits(monkeypatch, label, p, relaxed
 
     monkeypatch.setattr(vanishing, "_depth_first", recorded)
     for d in range(1, rs.rank + 1):
-        search = _search_data(rs.rst, d, relaxed)
+        search = _search_data(rs.rst, d)
         usable = [(k, rs.positive_roots[k], rs._fund_coords[k])
-                  for k in allowed_root_indices(rs, d, relaxed)]
-        dijkstra_order(rs, parab, d, relaxed)
-        order = seen[:]
-        seen.clear()
-        shortest_path(rs, parab, d, relaxed)
-        for states, moves in ((order, search.ladder), (seen, search.walk)):
+                  for k in allowed_root_indices(rs, d)]
+        if lattice:
+            lattice_lower_bound(rs, parab, d)
+            checks = [(seen[:], search.subtract)]
+        else:
+            dijkstra_order(rs, parab, d)
+            order = seen[:]
+            seen.clear()
+            shortest_path(rs, parab, d)
+            checks = [(order, search.ladder), (seen[:], search.walk)]
+        for states, moves in checks:
+            assert states, d
             for chi, v, left in states:
                 fits = set()
                 for k, beta, f in usable:
-                    r = rs.pairing(chi, beta)
-                    if r >= 1:
-                        child, w = search.canon(tuple(a - r * b for a, b in zip(chi, f)),
-                                                tuple(a - r * b for a, b in zip(v, beta)))
+                    r = 1 if lattice else rs.pairing(chi, beta)
+                    w = tuple(a - r * b for a, b in zip(v, beta))
+                    if r >= 1 and (not lattice or min(w) >= 0):
+                        child, w = search.canon(tuple(a - r * b for a, b in zip(chi, f)), w)
                         if r + search.estimate(w) <= left:
                             fits.add((r, k, child))
                 got = set(moves(chi, v, left))
@@ -801,19 +821,20 @@ def test_slack_filter_keeps_every_child_that_fits(monkeypatch, label, p, relaxed
                 else:
                     assert {(r, c) for r, _, c in fits} <= \
                         {(r, search.step(chi, v, r, k)[0]) for r, k in got}, (d, chi, left)
-        assert order and seen, d
         seen.clear()
 
 
-@pytest.mark.parametrize("label,p", [("A5", 3), ("B4", 4), ("C4", 1), ("D5", 2),
-                                     ("E6", 1), ("F4", 3), ("G2", 2)])
+@pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)
 def test_relaxed_search_matches_plain_search(label, p):
+    # Levi roots never help: the plain searches over every positive root,
+    # Levi roots included, find the order and the lattice bound that the
+    # oracles find over the usable roots alone.
     rs = build(label)
     parab = P(rs.rank, p)
+    every = range(len(rs.positive_roots))
     for d in range(1, rs.rank + 1):
-        got = (dijkstra_order(rs, parab, d, relaxed=True),
-               lattice_lower_bound(rs, parab, d, relaxed=True))
-        assert got == _plain_orders(rs, parab, d, True), (label, p, d)
+        got = (dijkstra_order(rs, parab, d), lattice_lower_bound(rs, parab, d))
+        assert got == _plain_orders(rs, parab, d, every), (label, p, d)
 
 
 # -- coefficient bound --------------------------------------------------------

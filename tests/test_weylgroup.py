@@ -27,6 +27,19 @@ def test_longest_element_length_matches_levi():
         assert word_length(rs, word) == length
 
 
+@pytest.mark.parametrize("label", ["E8", "F4", "G2", "B7", "C6", "D6", "A8", "E6", "E7"])
+def test_word_length_matches_roots_sent_negative(label):
+    # The definition, kept as the reference: apply the word to every
+    # positive root and count the images that come out negative.
+    rs = build(label)
+    rng = random.Random(label)
+    words = [(), longest_element(rs)] + [
+        tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(1, 30))) for _ in range(40)]
+    for word in words:
+        want = sum(1 for c in rs.positive_roots if max(apply_word_to_root(rs, word, c)) <= 0)
+        assert word_length(rs, word) == want, word
+
+
 def test_e6_levi_action_table():
     rs = build("E6")
     tau = longest_element(rs, {2, 3, 4, 5, 6})

@@ -3,9 +3,11 @@
 ``witness_golden.json`` holds ``shortest_path`` results recorded from the
 backward distance-to-sink search that the forward probe walk replaced:
 the B_n/P_n and C_n/P1 outliers, F4, G2, E8 at nodes 1 and 8, the
-D6/P3 and E6/P4 configurations where the lattice bound falls short, a
-few tabulated configurations of every classical family and relaxed
-edges.  Each entry is one (configuration, d) with its cost and steps.
+D6/P3 and E6/P4 configurations where the lattice bound falls short and
+a few tabulated configurations of every classical family.  Each entry
+is one (configuration, d) with its cost and steps.  Entries marked
+``relaxed`` were recorded by a walk that could also step along Levi
+roots; none of them does, and each is the canonical witness.
 """
 
 import json
@@ -35,7 +37,7 @@ def test_witness_matches_golden(family, rank, omitted, relaxed):
     for e in GOLDEN:
         if (e["family"], e["rank"], e["omitted"], e["relaxed"]) != (family, rank, omitted, relaxed):
             continue
-        cost, steps, nodes = shortest_path(rs, parab, e["d"], relaxed=relaxed)
+        cost, steps, nodes = shortest_path(rs, parab, e["d"])
         assert cost == e["cost"]
         assert [[list(c), r] for c, r in steps] == e["steps"]
         assert len(nodes) == len(steps) + 1
