@@ -37,7 +37,7 @@ for label in ("A5", "D5", "D6", "E6", "E7"):
     print(f"  {label}: {perm}")
 
 print()
-print("Orbit sizes of some fundamental weights (exact BFS closure):")
+print("Orbit sizes of some fundamental weights (|W| / |W_J| from root heights):")
 for label, d in [("E7", 7), ("E6", 2), ("D6", 6), ("B5", 5), ("C5", 1)]:
     rsx = build(label)
     size = orbit_size(rsx, rsx.fundamental_weight(d))

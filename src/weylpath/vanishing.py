@@ -23,14 +23,12 @@ holds whenever the pieces are defined, and collapses to equality at
 every cominuscule parabolic.
 
 Every route starts from the target, and the targets of all d come from
-two packed raises.  -w0 is linear and -sum_d M**(d-1) omega_d is
-regular antidominant, so one raise of it over all of W gives every
-b_d = omega_d - w0(omega_d) in root coordinates as base-M digits, once
-per system (:func:`_system`); one raise of the packed result over
-the Levi gives every tau(-w0(omega_d)) and the target b_d - c_d, once
-per (system, parabolic) (:func:`_targets`).  The digits satisfy
-0 <= c_d <= b_d <= 2 rho, so M = 2**bitlen(2 |R+| max(theta)) lies above
-every one of them (:func:`_digit_bits`).
+two packed dominant-point raises (``weylgroup._raise``).  One of the
+regular antidominant -sum_d M**(d-1) omega_d over W gives every
+b_d = omega_d - w0(omega_d) as base-M digits, once per system
+(:func:`_system`); one of the result over the Levi gives every
+tau(-w0(omega_d)) and target b_d - c_d, once per (system, parabolic)
+(:func:`_targets`).  M lies above every digit (:func:`_digit_bits`).
 
 The Levi Weyl group W_L at d (the s_i, i != d) permutes the usable
 roots, fixes omega_d and keeps every pairing <chi, beta^vee>, so the
@@ -65,7 +63,7 @@ from operator import add, mul, sub
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, _eps_l1, build,
 )
-from .weylgroup import cominuscule_indices
+from .weylgroup import _make_canon, _raise, cominuscule_indices
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -140,52 +138,6 @@ class VanishingResult(namedtuple("VanishingResult", [
     """All routes to m_d for one fundamental index."""
 
     __slots__ = ()
-
-
-# ---------------------------------------------------------------------------
-# dominant points of Weyl-group orbits
-# ---------------------------------------------------------------------------
-
-def _make_canon(cols, indices):
-    """The W_J-dominant point of the orbit of a state ``(chi, v)``.
-
-    J is the set of 0-based ``indices``; ``chi`` is a weight in fundamental
-    coordinates and ``v`` a vector in root coordinates that moves with it.
-    While some chi_i < 0 with i in J, s_i adds -chi_i to v_i and subtracts
-    chi_i times column i of the Cartan matrix from chi; only i's
-    neighbours can newly turn negative.  The dominant point is unique, so
-    v ends raised by the root coordinates of its difference from chi.
-    """
-    inside = [False] * len(cols)
-    for i in indices:
-        inside[i] = True
-
-    def canon(chi, v):
-        if min(chi) >= 0:
-            return chi, v
-        todo = [i for i in indices if chi[i] < 0]
-        if not todo:
-            return chi, v
-        chi, v = list(chi), list(v)
-        while todo:
-            i = todo.pop()
-            k = chi[i]
-            if k >= 0:
-                continue
-            v[i] -= k
-            for j, a in cols[i]:
-                chi[j] -= k * a
-                if chi[j] < 0 and inside[j]:
-                    todo.append(j)
-        return tuple(chi), tuple(v)
-
-    return canon
-
-
-def _raise(cols, indices, chi):
-    """The W_J-dominant point of chi and, in root coordinates, how far it
-    lies above chi (see :func:`_make_canon`)."""
-    return _make_canon(cols, indices)(chi, (0,) * len(cols))
 
 
 # ---------------------------------------------------------------------------

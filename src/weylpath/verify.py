@@ -139,17 +139,7 @@ def report_to_dict(rep: VerificationReport) -> dict:
 
 def report_from_dict(data: dict) -> VerificationReport:
     cfg = data["config"]
-    rows = tuple(
-        VanishingResult(
-            d=r["d"],
-            m_dijkstra=r["m_dijkstra"],
-            m_lattice_lb=r["m_lattice_lb"],
-            c_alpha=r["c_alpha"],
-            certificate_cost=r["certificate_cost"],
-            agreed=r["agreed"],
-        )
-        for r in data["rows"]
-    )
+    rows = tuple(VanishingResult(*(r[k] for k in VanishingResult._fields)) for r in data["rows"])
     wits = data.get("witnesses")
     return VerificationReport(
         family=cfg["family"],

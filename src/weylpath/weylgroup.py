@@ -1,14 +1,13 @@
-"""Weyl-group words, longest elements, the involution -w0, weight orbits.
+"""The Weyl group on weights: the dominant-point raise, words, -w0, orbits.
 
-Group elements are kept as words in the simple reflections (tuples of
-1-based letters, applied right to left); two words represent the same
-element exactly when they act identically on the strictly dominant
-weight rho, which is how :func:`words_equal` tests equality.
+This module owns the raise (:func:`_make_canon`) that ``vanishing`` draws
+its targets from; every helper returning a weight, a root or a count reads
+one raise or the root heights.  Words are tuples of 1-based letters,
+applied right to left, equal exactly when they agree on rho.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
@@ -16,10 +15,74 @@ from .rootsystem import Parabolic, Root, RootSystem, RootSystemError, Weight
 
 WeylWord = tuple
 
+# Weights :func:`orbit` lists before it refuses; E6's rho orbit has 51 840.
+MAX_ORBIT_SIZE = 100_000
+
+
+def _make_canon(cols, indices):
+    """The W_J-dominant point of the orbit of a state ``(chi, v)``.
+
+    J is the set of 0-based ``indices``; ``chi`` is a weight in fundamental
+    coordinates and ``v`` a vector in root coordinates that moves with it.
+    While some chi_i < 0 with i in J, s_i adds -chi_i to v_i and subtracts
+    chi_i times column i of the Cartan matrix from chi; only i's
+    neighbours can newly turn negative.  The dominant point is unique, so
+    v ends raised by the root coordinates of its difference from chi.
+    """
+    inside = [False] * len(cols)
+    for i in indices:
+        inside[i] = True
+
+    def canon(chi, v):
+        if min(chi) >= 0:
+            return chi, v
+        todo = [i for i in indices if chi[i] < 0]
+        if not todo:
+            return chi, v
+        chi, v = list(chi), list(v)
+        while todo:
+            i = todo.pop()
+            k = chi[i]
+            if k >= 0:
+                continue
+            v[i] -= k
+            for j, a in cols[i]:
+                chi[j] -= k * a
+                if chi[j] < 0 and inside[j]:
+                    todo.append(j)
+        return tuple(chi), tuple(v)
+
+    return canon
+
+
+def _raise(cols, indices, chi):
+    """The W_J-dominant point of chi and, in root coordinates, how far it
+    lies above chi (see :func:`_make_canon`)."""
+    return _make_canon(cols, indices)(chi, (0,) * len(cols))
+
+
+def _sigma(rs: RootSystem) -> tuple:
+    """sigma = -w0 as (sigma(1), ..., sigma(n)).  w0 raises the regular
+    antidominant -sum_j 2**j omega_{j+1} to sum_j 2**j omega_{sigma(j+1)},
+    and sigma is an involution, so sigma(i) is coordinate i's bit length."""
+    top, _ = _raise(rs._cartan_cols, range(rs.rank), tuple(-1 << j for j in range(rs.rank)))
+    return tuple(x.bit_length() for x in top)
+
+
+def _height_quotient(roots) -> int:
+    """prod (ht beta + 1) // prod ht beta over ``roots``: |W| over all positive
+    roots (Macdonald, "The Poincare series of a Coxeter group", Math. Ann.
+    199, 1972), and |W| / |W_J| over those outside the subsystem of W_J."""
+    num = den = 1
+    for h in map(sum, roots):
+        num, den = num * (h + 1), den * h
+    return num // den
+
 
 def apply_word(rs: RootSystem, word: Sequence, weight: Sequence) -> Weight:
     """Act by the word on a weight; the last letter acts first."""
     w = tuple(weight)
+    rs._check_length(w, "weight")
     for i in reversed(word):
         w = rs.simple_reflection(i, w)
     return w
@@ -28,6 +91,7 @@ def apply_word(rs: RootSystem, word: Sequence, weight: Sequence) -> Weight:
 def apply_word_to_root(rs: RootSystem, word: Sequence, root: Sequence) -> Root:
     """Act by the word on simple-root coordinates."""
     c = tuple(root)
+    rs._check_length(c, "root coordinate vector")
     for i in reversed(word):
         c = rs.reflect_root(i, c)
     return c
@@ -80,49 +144,34 @@ def longest_element(rs: RootSystem, subset: Iterable | None = None) -> WeylWord:
 
 
 def weyl_order(rs: RootSystem) -> int:
-    """|W| in closed form."""
-    n = rs.rank
-    fam = rs.rst.family
-    if fam == "A":
-        return math.factorial(n + 1)
-    if fam in ("B", "C"):
-        return 2 ** n * math.factorial(n)
-    if fam == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[rs.rst.label]
+    """|W|, from the heights of the positive roots (:func:`_height_quotient`)."""
+    return _height_quotient(rs.positive_roots)
 
 
 def weyl_involution(rs: RootSystem, weight: Sequence) -> Weight:
     """The involution -w0 acting on a weight; permutes fundamental weights."""
-    w0 = longest_element(rs)
-    return tuple(-x for x in apply_word(rs, w0, weight))
+    w = tuple(weight)
+    rs._check_length(w, "weight")
+    return tuple(w[s - 1] for s in _sigma(rs))
 
 
 def involution_index(rs: RootSystem, d: int) -> int:
     """Index d' with -w0(omega_d) = omega_{d'}."""
-    img = weyl_involution(rs, rs.fundamental_weight(d))
-    for j in range(1, rs.rank + 1):
-        if img == rs.fundamental_weight(j):
-            return j
-    raise RootSystemError(f"involution image of omega_{d} is not fundamental: {img}")
+    rs._check_index(d)
+    return _sigma(rs)[d - 1]
 
 
 def tau_on_omitted_root(rs: RootSystem, parabolic: Parabolic) -> Root:
     """tau(alpha_d) for the longest element tau of a maximal parabolic.
 
-    The result is always a positive root: tau fixes the complement of
-    the Levi's root subsystem and l(tau s_d) = l(tau) + 1.
+    alpha_d (column d of the Cartan matrix) is Levi-antidominant, so tau
+    raises it to its Levi-dominant point; the result is a positive root.
     """
+    rs._check_parabolic(parabolic)
     d = parabolic.omitted_index
-    tau = longest_element(rs, parabolic.retained)
-    img = apply_word_to_root(rs, tau, rs.simple_root(d))
-    if not all(x >= 0 for x in img):
-        raise RootSystemError(f"tau(alpha_{d}) came out negative: {img}")
-    return img
-
-
-def is_dominant(weight: Sequence) -> bool:
-    return all(x >= 0 for x in weight)
+    levi = [i - 1 for i in sorted(parabolic.retained)]
+    _, v = _raise(rs._cartan_cols, levi, tuple(row[d - 1] for row in rs.cartan))
+    return tuple(x + (j == d - 1) for j, x in enumerate(v))
 
 
 def orbit(rs: RootSystem, weight: Sequence) -> list:
@@ -130,12 +179,13 @@ def orbit(rs: RootSystem, weight: Sequence) -> list:
 
     Breadth-first closure under the simple reflections; node identity is
     exact equality of fundamental coordinates.  Rejects non-dominant
-    seeds (normalize first: every orbit meets the dominant cone once).
+    seeds (normalize first) and, by :func:`orbit_size`, orbits above
+    ``MAX_ORBIT_SIZE``.
     """
     seed = tuple(weight)
-    rs._check_length(seed, "weight")
-    if not is_dominant(seed):
-        raise RootSystemError(f"orbit seed must be dominant, got {seed}")
+    size = orbit_size(rs, seed)
+    if size > MAX_ORBIT_SIZE:
+        raise RootSystemError(f"{rs.rst} orbit of {seed} has {size} weights, cap {MAX_ORBIT_SIZE}")
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -152,7 +202,15 @@ def orbit(rs: RootSystem, weight: Sequence) -> list:
 
 
 def orbit_size(rs: RootSystem, weight: Sequence) -> int:
-    return len(orbit(rs, weight))
+    """|W| / |W_J| for a dominant weight with J its zero coordinates: the
+    height product over the positive roots whose support meets a nonzero
+    coordinate (:func:`_height_quotient`)."""
+    seed = tuple(weight)
+    rs._check_length(seed, "weight")
+    if min(seed) < 0:
+        raise RootSystemError(f"orbit seed must be dominant, got {seed}")
+    moved = [j for j, x in enumerate(seed) if x]
+    return _height_quotient(c for c in rs.positive_roots if any(c[j] for j in moved))
 
 
 def minuscule_indices(rs: RootSystem) -> list:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from weylpath import (
     minuscule_indices, orbit, orbit_size, tau_on_omitted_root,
     weyl_involution, weyl_order, word_length, words_equal,
 )
+from weylpath import vanishing, weylgroup
 from weylpath.rootsystem import RootSystemError
 
 
@@ -243,3 +245,113 @@ def test_minuscule_orbit_pairings_are_small():
         for chi in orbit(rs, rs.fundamental_weight(d)):
             for c in rs.positive_roots:
                 assert rs.pairing(chi, c) in (-1, 0, 1)
+
+
+REFERENCE_LABELS = [f"{f}{n}" for f, low in zip("ABCD", (1, 2, 2, 3))
+                    for n in range(low, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+def _family_order(label):
+    # The closed forms weyl_order used before it read the root heights.
+    fam, n = label[0], int(label[1:])
+    if fam == "A":
+        return math.factorial(n + 1)
+    if fam in "BC":
+        return 2 ** n * math.factorial(n)
+    if fam == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[label]
+
+
+@pytest.mark.parametrize("label", [f"{f}{n}" for f, low in zip("ABCD", (1, 2, 2, 3))
+                                   for n in range(low, 13)] + ["E6", "E7", "E8", "F4", "G2"])
+def test_weyl_order_matches_family_formulas(label):
+    assert weyl_order(build(label)) == _family_order(label)
+
+
+@pytest.mark.parametrize("label", [f"{f}{n}" for f, low in zip("ABCD", (1, 2, 2, 3))
+                                   for n in range(low, 6)] + ["G2", "F4", "E6"])
+def test_orbit_size_matches_enumerated_orbit(label):
+    # The breadth-first orbit is the reference for the height product.
+    rs = build(label)
+    rng = random.Random(label)
+    seeds = [rs.fundamental_weight(d) for d in range(1, rs.rank + 1)]
+    seeds += [tuple(rng.choice((0, 0, 1, 2)) for _ in range(rs.rank)) for _ in range(4)]
+    if rs.rank <= 4:
+        seeds.append(rs.rho)
+    for seed in seeds:
+        assert orbit_size(rs, seed) == len(orbit(rs, seed)), seed
+
+
+def test_orbit_size_of_e8_rho_is_the_group_order():
+    rs = build("E8")
+    assert orbit_size(rs, rs.rho) == weyl_order(rs) == 696729600
+    assert orbit_size(rs, (0,) * 8) == 1
+
+
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_involution_matches_longest_word(label):
+    rs = build(label)
+    w0 = longest_element(rs)
+    rng = random.Random(label)
+    for d in range(1, rs.rank + 1):
+        img = tuple(-x for x in apply_word(rs, w0, rs.fundamental_weight(d)))
+        assert img == rs.fundamental_weight(involution_index(rs, d))
+    for _ in range(5):
+        lam = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
+        assert weyl_involution(rs, lam) == tuple(-x for x in apply_word(rs, w0, lam))
+
+
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_tau_on_omitted_root_matches_longest_word(label):
+    rs = build(label)
+    for p in range(1, rs.rank + 1):
+        parab = Parabolic.maximal(rs.rank, p)
+        tau = longest_element(rs, parab.retained)
+        assert tau_on_omitted_root(rs, parab) == apply_word_to_root(rs, tau, rs.simple_root(p)), p
+
+
+def test_helpers_taking_no_word_build_none(monkeypatch):
+    # Each reads one raise or the root heights, never a word or a listed orbit.
+    def refuse(*args):
+        raise AssertionError("word or orbit helper called")
+
+    for name in ("longest_element", "apply_word", "apply_word_to_root", "orbit"):
+        monkeypatch.setattr(weylgroup, name, refuse)
+    rs = build("E7")
+    assert weylgroup.weyl_order(rs) == 2903040
+    assert weylgroup.orbit_size(rs, rs.fundamental_weight(7)) == 56
+    assert weylgroup.involution_index(rs, 1) == 1
+    assert weylgroup.weyl_involution(rs, rs.rho) == rs.rho
+    assert weylgroup.tau_on_omitted_root(rs, Parabolic.maximal(7, 7)) == (2, 2, 3, 4, 3, 2, 1)
+
+
+def test_vanishing_reads_the_raise_of_weylgroup():
+    assert vanishing._make_canon is weylgroup._make_canon
+    assert vanishing._raise is weylgroup._raise
+
+
+def test_orbit_refuses_above_its_cap():
+    # E8's rho orbit has 696 729 600 weights; the closure ran without bound.
+    rs = build("E8")
+    with pytest.raises(RootSystemError, match=r"E8 orbit of \(1, 1, 1, 1, 1, 1, 1, 1\) has 696729600"):
+        orbit(rs, rs.rho)
+    with pytest.raises(RootSystemError, match="E7"):
+        orbit(build("E7"), build("E7").rho)
+    assert weylgroup.MAX_ORBIT_SIZE >= orbit_size(build("E6"), build("E6").rho)
+
+
+def test_tau_on_omitted_root_rejects_a_parabolic_of_another_rank():
+    # A rank-3 parabolic on A5 came back as (1, 1, 1, 0, 0).
+    with pytest.raises(RootSystemError, match="rank 3"):
+        tau_on_omitted_root(build("A5"), Parabolic.maximal(3, 1))
+
+
+def test_empty_words_check_the_length():
+    # The empty word skipped every length check and returned its input.
+    rs = build("A5")
+    with pytest.raises(RootSystemError, match="length 2"):
+        apply_word(rs, (), (1, 2))
+    with pytest.raises(RootSystemError, match="length 2"):
+        apply_word_to_root(rs, (), (1, 2))
+    assert apply_word(rs, (), rs.rho) == rs.rho

@@ -5,9 +5,10 @@ backward distance-to-sink search that the forward probe walk replaced:
 the B_n/P_n and C_n/P1 outliers, F4, G2, E8 at nodes 1 and 8, the
 D6/P3 and E6/P4 configurations where the lattice bound falls short and
 a few tabulated configurations of every classical family.  Each entry
-is one (configuration, d) with its cost and steps.  Entries marked
-``relaxed`` were recorded by a walk that could also step along Levi
-roots; none of them does, and each is the canonical witness.
+is one (configuration, d) with its cost and steps, and no two entries
+share one.  Entries marked ``relaxed`` were recorded by a walk that could
+also step along Levi roots; none of them does, and each is the canonical
+witness.
 """
 
 import json
@@ -28,6 +29,8 @@ def test_golden_covers_every_family_and_the_outliers():
                    ("D", 6, 3, False), ("E", 6, 4, False)]:
         assert config in CONFIGS
     assert any(relaxed for *_, relaxed in CONFIGS)
+    cells = [(e["family"], e["rank"], e["omitted"], e["d"]) for e in GOLDEN]
+    assert len(cells) == len(set(cells))
 
 
 @pytest.mark.parametrize("family,rank,omitted,relaxed", CONFIGS)
