@@ -9,11 +9,14 @@ bounds, making the value exact.
 The E6 and E7 tuples are embedded literally, transcribed from the
 classical two-row displays shaped like the Dynkin diagram (top row =
 nodes 1, 3, 4, 5, 6 and 7 when present, bottom entry = node 2).  The
-classical families are generated from their epsilon-coordinate
-formulas.  The catalog covers every cominuscule parabolic except the
-odd quadric B_n/P1; everywhere else, the odd orthogonal spin
-configurations included, :func:`path_certificate` extracts a tuple
-from the canonical cheapest path.
+classical families come from one generator each, which returns its
+roots as epsilon vectors ``((index, value), ...)``; :func:`_eps_entries`
+is the one conversion to simple-root coordinates, and the diagram flips
+of A and D are sign changes of epsilon coordinates.  The catalog covers
+every cominuscule parabolic except the odd quadric B_n/P1; everywhere
+else, the odd orthogonal spin configurations included,
+:func:`path_certificate` extracts a tuple from the canonical cheapest
+path.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .weylgroup import cominuscule_indices
 
 
 # ---------------------------------------------------------------------------
-# epsilon-expression helpers
+# epsilon vectors
 # ---------------------------------------------------------------------------
 
 def epsilon_to_root(rs: RootSystem, eps: Sequence) -> tuple:
@@ -44,15 +47,17 @@ def epsilon_to_root(rs: RootSystem, eps: Sequence) -> tuple:
     return tuple(coords)
 
 
-def _eps_vec(n: int, pairs) -> tuple:
-    v = [0] * n
-    for idx, val in pairs:
-        v[idx - 1] += val
-    return tuple(v)
-
-
-def _eps_root(rs, n, pairs) -> tuple:
-    return epsilon_to_root(rs, _eps_vec(n, pairs))
+def _eps_entries(rs: RootSystem, vectors) -> tuple:
+    """Certificate entries, each of multiplicity 1, for roots written as
+    sparse epsilon vectors ``((index, value), ...)`` with 1-based indices."""
+    size = rs.rank + (rs.rst.family == "A")
+    entries = []
+    for vector in vectors:
+        eps = [0] * size
+        for i, x in vector:
+            eps[i - 1] += x
+        entries.append((epsilon_to_root(rs, eps), 1))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +66,7 @@ def _eps_root(rs, n, pairs) -> tuple:
 
 def _display(top, bottom) -> tuple:
     """Dynkin-shaped display to Bourbaki coordinate order."""
-    if len(top) == 5:
-        a1, a3, a4, a5, a6 = top
-        return (a1, bottom, a3, a4, a5, a6)
-    a1, a3, a4, a5, a6, a7 = top
-    return (a1, bottom, a3, a4, a5, a6, a7)
+    return (top[0], bottom, *top[1:])
 
 
 # E6, parabolic omitting node 1, indexed by d
@@ -77,6 +78,10 @@ _E6_P1 = {
     5: [((1, 2, 3, 2, 1), 1), ((1, 1, 1, 1, 0), 0), ((1, 1, 1, 1, 1), 1)],
     6: [((1, 1, 1, 1, 1), 0), ((1, 2, 3, 2, 1), 2)],
 }
+
+# The E6 diagram flip as the node permutation (node j goes to _E6_FLIP[j-1]);
+# E6 has no epsilon realization here, so P6 is P1 with nodes permuted.
+_E6_FLIP = (6, 2, 5, 4, 3, 1)
 
 # E7, parabolic omitting node 7, indexed by d.  The middle entry of the
 # d = 2 triple circulates in display form with a stray seventh digit in
@@ -102,110 +107,58 @@ def _exceptional_entries(table, d):
 
 
 # ---------------------------------------------------------------------------
-# diagram flips
+# classical generators: epsilon vectors in n coordinates
 # ---------------------------------------------------------------------------
 
-def _flip_permutation(rst: RootSystemType) -> dict | None:
-    """Nontrivial diagram automorphism as an index map, where one exists."""
-    n = rst.rank
-    if rst.family == "A" and n >= 2:
-        return {j: n + 1 - j for j in range(1, n + 1)}
-    if rst.family == "D":
-        p = {j: j for j in range(1, n + 1)}
-        p[n - 1], p[n] = n, n - 1
-        return p
-    if rst.label == "E6":
-        return {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
-    return None
-
-
-def _flip_entries(entries, perm, rank):
-    out = []
-    for coords, mult in entries:
-        flipped = [0] * rank
-        for j in range(1, rank + 1):
-            flipped[perm[j] - 1] = coords[j - 1]
-        out.append((tuple(flipped), mult))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# classical generators
-# ---------------------------------------------------------------------------
-
-def _catalog_A(rs, c, d):
-    # Grassmannian certificates; n is the matrix size, indices live in
-    # n epsilon coordinates.  Reduce c > n - c through the diagram flip.
-    n = rs.rank + 1
+def _catalog_A(n, c, d):
+    # Grassmannian certificates; n is the matrix size.  For c > n - c the
+    # diagram flip e_i -> -e_{n+1-i} (which reverses the simple-root
+    # coordinates) carries the tuple of P_{n-c} at n - d to P_c at d.
     if c > n - c:
-        perm = _flip_permutation(rs.rst)
-        return _flip_entries(_catalog_A(rs, n - c, n - d), perm, rs.rank)
-    if d < c:
-        pairs = [((i, 1), (c + d + 1 - i, -1)) for i in range(1, d + 1)]
-    elif d <= n - c:
-        pairs = [((i, 1), (d + c + 1 - i, -1)) for i in range(1, c + 1)]
+        return tuple(tuple((n + 1 - i, -x) for i, x in vector)
+                     for vector in _catalog_A(n, n - c, n - d))
+    if d <= n - c:
+        pairs = [(i, c + d + 1 - i) for i in range(1, min(c, d) + 1)]
     else:
-        pairs = [((c + 1 - i, 1), (d + i, -1)) for i in range(1, n - d + 1)]
-    return tuple((_eps_root(rs, n, p), 1) for p in pairs)
+        pairs = [(c + 1 - i, d + i) for i in range(1, n - d + 1)]
+    return tuple(((i, 1), (j, -1)) for i, j in pairs)
 
 
-def _catalog_C(rs, d):
-    n = rs.rank
-    if d < n + 1 - d:
-        entries = [((i, 1), (n + 1 - i, 1)) for i in range(1, d + 1)]
-        return tuple((_eps_root(rs, n, e), 1) for e in entries)
-    out = [(_eps_root(rs, n, ((i, 1), (n + 1 - i, 1))), 1) for i in range(1, n - d + 1)]
-    out += [(_eps_root(rs, n, ((i, 2),)), 1) for i in range(n - d + 1, d + 1)]
-    return tuple(out)
+def _catalog_C(n, p, d):
+    # The Lagrangian Grassmannian (p = n): e_i + e_{n+1-i} for i up to
+    # min(d, n - d), then 2e_i over the doubled range n - d < i <= d.
+    return (tuple(((i, 1), (n + 1 - i, 1)) for i in range(1, min(d, n - d) + 1))
+            + tuple(((i, 2),) for i in range(n - d + 1, d + 1)))
 
 
-def _catalog_D_spin(rs, p, d):
-    n = rs.rank
+def _node1_pair(j):
+    """e1 - ej and e1 + ej, one D_n/P1 tuple at each d < j."""
+    return ((1, 1), (j, -1)), ((1, 1), (j, 1))
+
+
+def _catalog_D(n, p, d):
+    if p == 1:
+        return _node1_pair(d + 1) if d <= n - 2 else (((1, 1), (n, 1 if d == n else -1)),)
     if p == n - 1:
-        perm = _flip_permutation(rs.rst)
-        return _flip_entries(_catalog_D_spin_at_n(rs, perm[d]), perm, n)
-    return _catalog_D_spin_at_n(rs, d)
-
-
-def _catalog_D_spin_at_n(rs, d):
-    n = rs.rank
-    if d <= n - 2:
-        if d < n + 1 - d:
-            pairs = [((i, 1), (n + 1 - i, 1)) for i in range(1, d + 1)]
-        else:
-            # overlapping range: the chained grouping below realizes the
-            # order through a sequential ladder; when the doubled block
-            # has even length an orthogonal regrouping also exists, but
-            # the chain is what the classical case analysis lists
-            pairs = [((i, 1), (n - d + i, 1)) for i in range(1, d + 1)]
-        return tuple((_eps_root(rs, n, p), 1) for p in pairs)
-    if d == n - 1:
-        if n % 2 == 0:
-            pairs = [((i, 1), (n + 1 - i, 1)) for i in range(2, n // 2 + 1)]
-        else:
-            pairs = [((i, 1), (n - i, 1)) for i in range(1, (n - 1) // 2 + 1)]
-        return tuple((_eps_root(rs, n, p), 1) for p in pairs)
-    # d == n
-    if n % 2 == 0:
-        pairs = [((i, 1), (n + 1 - i, 1)) for i in range(1, n // 2 + 1)]
+        # The diagram flip e_n -> -e_n carries P_n to P_{n-1}, swapping
+        # d = n - 1 and d = n.
+        return tuple(tuple((i, -x if i == n else x) for i, x in vector)
+                     for vector in _catalog_D(n, n, d if d < n - 1 else 2 * n - 1 - d))
+    if d >= n - 1:
+        # d // 2 roots e_i + e_j pairing off 1 + d % 2, ..., d from the outside in
+        pairs = [(1 + d % 2 + k, d - k) for k in range(d // 2)]
+    elif d < n + 1 - d:
+        pairs = [(i, n + 1 - i) for i in range(1, d + 1)]
     else:
-        pairs = [((i, 1), (n + 2 - i, 1)) for i in range(2, (n + 1) // 2 + 1)]
-    return tuple((_eps_root(rs, n, p), 1) for p in pairs)
+        # overlapping range: the chained grouping below realizes the
+        # order through a sequential ladder; when the doubled block
+        # has even length an orthogonal regrouping also exists, but
+        # the chain is what the classical case analysis lists
+        pairs = [(i, n - d + i) for i in range(1, d + 1)]
+    return tuple(((i, 1), (j, 1)) for i, j in pairs)
 
 
-def _catalog_D(rs, p, d):
-    n = rs.rank
-    if p != 1:
-        return _catalog_D_spin(rs, p, d)
-    if d <= n - 2:
-        j = d + 1
-        return (
-            (_eps_root(rs, n, ((1, 1), (j, -1))), 1),
-            (_eps_root(rs, n, ((1, 1), (j, 1))), 1),
-        )
-    if d == n - 1:
-        return ((_eps_root(rs, n, ((1, 1), (n, -1))), 1),)
-    return ((_eps_root(rs, n, ((1, 1), (n, 1))), 1),)
+_CLASSICAL = {"A": _catalog_A, "C": _catalog_C, "D": _catalog_D}
 
 
 def _catalog_covers(rs: RootSystem, p: int) -> bool:
@@ -227,19 +180,15 @@ def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certifi
     if not _catalog_covers(rs, p):
         return None
     fam = rs.rst.family
-    if fam == "A":
-        entries = _catalog_A(rs, p, d)
-    elif fam == "C":
-        entries = _catalog_C(rs, d)
-    elif fam == "D":
-        entries = _catalog_D(rs, p, d)
+    if fam in _CLASSICAL:
+        entries = _eps_entries(rs, _CLASSICAL[fam](rs.rank + (fam == "A"), p, d))
     elif rs.rst.label == "E7":
         entries = _exceptional_entries(_E7_P7, d)
     elif p == 1:
         entries = _exceptional_entries(_E6_P1, d)
     else:
-        perm = _flip_permutation(rs.rst)
-        entries = _flip_entries(_exceptional_entries(_E6_P1, perm[d]), perm, 6)
+        entries = tuple((tuple(coords[j - 1] for j in _E6_FLIP), m)
+                        for coords, m in _exceptional_entries(_E6_P1, _E6_FLIP[d - 1]))
     return Certificate(rst=rs.rst, omitted=p, d=d, entries=entries, origin="catalog")
 
 
@@ -248,17 +197,9 @@ def catalog_pair_choices(rs: RootSystem, d: int) -> list:
     n = rs.rank
     if rs.rst.family != "D" or d > n - 2:
         raise RootSystemError("pair family only defined for D at node 1, d <= rank-2")
-    out = []
-    for j in range(d + 1, n + 1):
-        out.append(Certificate(
-            rst=rs.rst, omitted=1, d=d,
-            entries=(
-                (_eps_root(rs, n, ((1, 1), (j, -1))), 1),
-                (_eps_root(rs, n, ((1, 1), (j, 1))), 1),
-            ),
-            origin="catalog",
-        ))
-    return out
+    return [Certificate(rst=rs.rst, omitted=1, d=d, entries=_eps_entries(rs, _node1_pair(j)),
+                        origin="catalog")
+            for j in range(d + 1, n + 1)]
 
 
 def path_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate:
@@ -268,11 +209,8 @@ def path_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificat
     is the generic route for configurations without tabulated tuples.
     """
     _, steps, _ = shortest_path(rs, parabolic, d)
-    return Certificate(
-        rst=rs.rst, omitted=parabolic.omitted_index, d=d,
-        entries=tuple((coords, r) for coords, r in steps),
-        origin="path",
-    )
+    return Certificate(rst=rs.rst, omitted=parabolic.omitted_index, d=d, entries=steps,
+                       origin="path")
 
 
 def best_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate:

@@ -4,7 +4,8 @@ Verbs map one-to-one onto the library surface:
 
 * ``list-minuscule`` - the minuscule fundamental indices of a system
 * ``verify``         - full vanishing report for one maximal parabolic
-* ``verify-all``     - sweep every tabulated configuration up to a rank
+* ``verify-all``     - sweep every tabulated configuration, B_n/P_n and
+                       C_n/P1 up to a rank
 * ``tau``            - the parabolic longest element and its action on
                        the simple roots
 * ``check-cert``     - validate a certificate file clause by clause
@@ -55,7 +56,7 @@ def _build_parser():
                    help="exit nonzero unless the parabolic is minuscule and the identity holds")
     p.add_argument("--witnesses", action="store_true", help="include cheapest paths")
 
-    p = sub.add_parser("verify-all", help="sweep all tabulated configurations")
+    p = sub.add_parser("verify-all", help="sweep all tabulated configurations, B_n/P_n and C_n/P1")
     p.add_argument("--max-rank", type=int, default=12)
     p.add_argument("--format", choices=("json", "markdown"), default="markdown")
 

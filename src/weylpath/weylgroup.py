@@ -177,27 +177,30 @@ def tau_on_omitted_root(rs: RootSystem, parabolic: Parabolic) -> Root:
 def orbit(rs: RootSystem, weight: Sequence) -> list:
     """The full W-orbit of a dominant weight, lexicographically sorted.
 
-    Breadth-first closure under the simple reflections; node identity is
-    exact equality of fundamental coordinates.  Rejects non-dominant
-    seeds (normalize first) and, by :func:`orbit_size`, orbits above
-    ``MAX_ORBIT_SIZE``.
+    Closure under the simple reflections, each step subtracting w_i times
+    the sparse Cartan column i; node identity is exact equality of
+    fundamental coordinates.  Rejects non-dominant seeds (normalize
+    first) and, by :func:`orbit_size`, orbits above ``MAX_ORBIT_SIZE``.
     """
     seed = tuple(weight)
     size = orbit_size(rs, seed)
     if size > MAX_ORBIT_SIZE:
         raise RootSystemError(f"{rs.rst} orbit of {seed} has {size} weights, cap {MAX_ORBIT_SIZE}")
+    cols = rs._cartan_cols
     seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, rs.rank + 1):
-                if w[i - 1] != 0:
-                    img = rs.simple_reflection(i, w)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
+    todo = [seed]
+    while todo:
+        w = todo.pop()
+        for i, col in enumerate(cols):
+            k = w[i]
+            if k:
+                img = list(w)
+                for j, a in col:
+                    img[j] -= k * a
+                img = tuple(img)
+                if img not in seen:
+                    seen.add(img)
+                    todo.append(img)
     return sorted(seen)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -53,8 +54,10 @@ def test_epsilon_to_root_rejects_non_roots():
 
 
 CONFIGS = (
-    [("A", r, c) for r in range(2, 13) for c in range(1, r + 1)]
+    [("A", 1, 1)]
+    + [("A", r, c) for r in range(2, 13) for c in range(1, r + 1)]
     + [("C", n, n) for n in range(2, 11)]
+    + [("D", 3, p) for p in (1, 2, 3)]
     + [("D", n, 1) for n in range(4, 13)]
     + [("D", n, n) for n in range(4, 13)]
     + [("D", n, n - 1) for n in range(4, 13)]
@@ -72,6 +75,62 @@ def test_catalog_certificates_are_valid(family, rank, p):
         rep = check_certificate(rs, cert)
         assert rep.valid, (family, rank, p, d, rep.failures)
         assert rep.cost == dijkstra_order(rs, parab, d)
+
+
+# sha256 over every catalog answer below, None included, then the D_n/P1
+# pair choices; any change to a tabulated tuple or its order moves it.
+CATALOG_DIGEST = "cbff01c3ebb06c9e2c41d8923871137e80994b7a3abfb237088c368749a48f27"
+
+
+def test_catalog_entries_are_pinned():
+    labels = ([f"A{n}" for n in range(1, 25)] + [f"B{n}" for n in range(2, 25)]
+              + [f"C{n}" for n in range(2, 25)] + [f"D{n}" for n in range(3, 25)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    digest = hashlib.sha256()
+    tabulated = 0
+    for label in labels:
+        rs = build(label)
+        n = rs.rank
+        for p in range(1, n + 1):
+            for d in range(1, n + 1):
+                cert = catalog_certificate(rs, P(n, p), d)
+                tabulated += cert is not None
+                digest.update(repr(None if cert is None else cert.entries).encode())
+        if rs.rst.family == "D":
+            for d in range(1, n - 1):
+                digest.update(repr([c.entries for c in catalog_pair_choices(rs, d)]).encode())
+    assert tabulated == 6109
+    assert digest.hexdigest() == CATALOG_DIGEST
+
+
+def test_catalog_flips_are_diagram_flips():
+    def entries(rs, p, d):
+        return catalog_certificate(rs, P(rs.rank, p), d).entries
+
+    for n in range(1, 13):
+        rs = build("A", n)
+        for c in range(1, n + 1):
+            if c > n + 1 - c:
+                for d in range(1, n + 1):
+                    flipped = tuple((coords[::-1], m) for coords, m in entries(rs, n + 1 - c, n + 1 - d))
+                    assert entries(rs, c, d) == flipped, (n, c, d)
+    for n in range(3, 13):
+        rs = build("D", n)
+        swap = {n - 1: n, n: n - 1}
+        for d in range(1, n + 1):
+            flipped = tuple(((*coords[:-2], coords[-1], coords[-2]), m)
+                            for coords, m in entries(rs, n, swap.get(d, d)))
+            assert entries(rs, n - 1, d) == flipped, (n, d)
+    rs = build("E6")
+    perm = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+    for d in range(1, 7):
+        flipped = []
+        for coords, m in entries(rs, 1, perm[d]):
+            image = [0] * 6
+            for j in range(1, 7):
+                image[perm[j] - 1] = coords[j - 1]
+            flipped.append((tuple(image), m))
+        assert entries(rs, 6, d) == tuple(flipped), d
 
 
 def test_catalog_orthogonality_pattern_type_d():

@@ -272,7 +272,8 @@ def test_weyl_order_matches_family_formulas(label):
 @pytest.mark.parametrize("label", [f"{f}{n}" for f, low in zip("ABCD", (1, 2, 2, 3))
                                    for n in range(low, 6)] + ["G2", "F4", "E6"])
 def test_orbit_size_matches_enumerated_orbit(label):
-    # The breadth-first orbit is the reference for the height product.
+    # The listed orbit is the reference for the height product; closed under
+    # every simple_reflection and of that size, it is the whole orbit.
     rs = build(label)
     rng = random.Random(label)
     seeds = [rs.fundamental_weight(d) for d in range(1, rs.rank + 1)]
@@ -280,7 +281,11 @@ def test_orbit_size_matches_enumerated_orbit(label):
     if rs.rank <= 4:
         seeds.append(rs.rho)
     for seed in seeds:
-        assert orbit_size(rs, seed) == len(orbit(rs, seed)), seed
+        orb = orbit(rs, seed)
+        assert orbit_size(rs, seed) == len(orb), seed
+        members = set(orb)
+        assert all(rs.simple_reflection(i, w) in members
+                   for w in orb for i in range(1, rs.rank + 1)), seed
 
 
 def test_orbit_size_of_e8_rho_is_the_group_order():
