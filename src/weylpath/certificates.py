@@ -194,6 +194,7 @@ def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certifi
 
 def catalog_pair_choices(rs: RootSystem, d: int) -> list:
     """For D_n at node 1 and d <= n-2: every pair {e1-ej, e1+ej} works."""
+    rs._check_index(d)
     n = rs.rank
     if rs.rst.family != "D" or d > n - 2:
         raise RootSystemError("pair family only defined for D at node 1, d <= rank-2")

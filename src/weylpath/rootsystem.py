@@ -227,14 +227,16 @@ class RootSystem:
     the parent's minus k times column i of the Cartan matrix, stored once
     by its nonzero entries.  The integer pairing data is thus computed in
     that one pass; the rational inverse of the Cartan matrix, needed
-    only by :meth:`to_root_basis`, is computed on its first call.
+    only by :meth:`to_root_basis`, is computed on its first call, and
+    -w0's index permutation on the first call that reads it
+    (``weylgroup.involution_index`` and ``weyl_involution``).
     Instances are safe to share between threads.
     """
 
     __slots__ = (
         "rst", "rank", "cartan", "sym", "positive_roots",
         "_halfnorm", "_coroots", "_fund_coords",
-        "_cartan_inv", "_root_index", "_cartan_cols",
+        "_cartan_inv", "_sigma", "_root_index", "_cartan_cols",
     )
 
     def __init__(self, rst: RootSystemType):
@@ -246,7 +248,7 @@ class RootSystem:
         if not all(x > 0 for x in d) or any(d[i] * A[i][j] != d[j] * A[j][i]
                                             for i in range(n) for j in range(i)):
             raise RootSystemError(f"{rst}: symmetrizers {d} do not symmetrize the Cartan matrix")
-        self._cartan_inv = None
+        self._cartan_inv = self._sigma = None  # filled on first use
         # column i by its nonzero entries (j, <alpha_{i+1}, alpha_{j+1}^vee>)
         self._cartan_cols = tuple(tuple((j, A[j][i]) for j in range(n) if A[j][i])
                                   for i in range(n))

@@ -41,10 +41,10 @@ The path order (ladder steps) and the lattice bound (unit root
 subtractions) run it on orbits under budgets deepened from the start's
 estimate to the start residual's height (:func:`_deepen`); the witness
 runs it on single weights under the order.  Candidate roots come
-lazily from per-system bitsets (:func:`_system`): the usable set at d,
-less the roots the stabilizer moves, those that do not fit under the
-residual and those whose child cannot meet the slack
-(:func:`_make_moves`).
+lazily from per-system step tables of bitsets (:func:`_system`), one
+lookup and one AND per coordinate: the usable set at d, less the roots
+the stabilizer moves, those that do not fit under the residual and those
+whose child cannot meet the slack (:func:`_make_moves`).
 
 The records :class:`TargetWeight`, :class:`Certificate`,
 :class:`CertificateValidation` and :class:`VanishingResult` are immutable
@@ -58,7 +58,7 @@ import struct
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, _eps_l1, build,
@@ -182,9 +182,9 @@ def _unpack(packed, bits: int, where: str) -> tuple:
 
 
 class _System(namedtuple("_System", [
-    "blocked",   # blocked[i]: roots with <beta, alpha_{i+1}^vee> > 0
-    "atleast",   # atleast[j][t]: roots with coefficient at least t at j
-    "tops",      # theta_j + 1, so atleast[j][tops[j]] is empty
+    "free",      # free[i]: roots with <beta, alpha_{i+1}^vee> <= 0
+    "atleast",   # atleast[j][t]: roots with coefficient at least t at j, t <= theta_j
+    "columns",   # per j: theta_j, "coefficient <= x at j" for x < theta_j, atleast[j]
     "bits",      # the packed raises' digit base is M = 2**bits
     "lam",       # sum_d M**(d-1) omega_{sigma(d)}, sigma = -w0
     "b",         # digit d - 1 of each entry: b_d = omega_d + omega_{sigma(d)}
@@ -197,12 +197,17 @@ class _System(namedtuple("_System", [
 def _system(rst: RootSystemType) -> _System:
     """The per-system inputs of the searches and the target raises.
 
-    ``blocked`` and ``atleast`` are bitsets over the positive roots, bit k
-    standing for ``rs.positive_roots[k]``; ``atleast[j][t]`` runs over
-    t = 0..theta_j + 1 with theta the highest root, so ``atleast[j][0]``
-    holds every root and the last entry none.  Each bitset is one column
-    of the roots' coordinates as bytes, mapped by ``bytes.translate`` to
-    the digits ``0`` and ``1`` and read by ``int(..., 2)``, highest root
+    ``free`` and ``columns`` are the step tables of :func:`_make_moves`,
+    built here once per system: bitsets over the positive roots, bit k
+    standing for ``rs.positive_roots[k]``.  ``free[i]`` holds the roots
+    that a zero Levi coordinate chi_i leaves (the others are s_i-images
+    of lower ones).  With theta the highest root, ``atleast[j][t]`` runs
+    over t = 0..theta_j, so ``atleast[j][0]`` holds every root, and
+    ``columns[j]`` is ``(theta_j, atmost, atleast[j])`` with ``atmost[x]``
+    the roots of coefficient at most x at j for x = 0..theta_j - 1, past
+    which it would hold every root.  Each bitset is one column of the
+    roots' coordinates as bytes, mapped by ``bytes.translate`` to the
+    digits ``0`` and ``1`` and read by ``int(..., 2)``, highest root
     first.
 
     ``lam`` and ``b`` come from one raise.  -w0 is linear, and the packed
@@ -211,10 +216,11 @@ def _system(rst: RootSystemType) -> _System:
     omega_d at once, with M = 2**bits from :func:`_digit_bits`.
 
     ``estimate(v)`` is the larger of: per simple index j, the residual
-    coefficient over the largest j-coefficient of a usable root; and, in
-    the classical families, the residual's epsilon L1 norm (``_eps_l1``)
-    over the largest of a usable root, since each unit of cost moves at
-    most that many epsilon units.  Both constants are the highest root's
+    coefficient over the largest j-coefficient of a usable root, rounded
+    up (one ``floordiv`` by -theta_j per coordinate); and, in the
+    classical families, the residual's epsilon L1 norm (``_eps_l1``) over
+    the largest of a usable root, since each unit of cost moves at most
+    that many epsilon units.  Both constants are the highest root's
     (:func:`_estimator_bounds`) at every d.
     """
     rs = build(rst)
@@ -226,29 +232,29 @@ def _system(rst: RootSystemType) -> _System:
     # Pairings lie in -3..3; packed as signed bytes, exactly 1..127 are positive.
     flat = [*chain.from_iterable(rs._fund_coords)]
     pairings = struct.pack(f"{len(flat)}b", *flat)
-    positive = b"0" + b"1" * 127 + b"0" * 128
+    nonpositive = b"1" + b"0" * 127 + b"1" * 128
     coeffs = bytes(chain.from_iterable(roots))
     every = (1 << len(roots)) - 1
+    atleast = tuple((every, *(bitset(coeffs[j::n], b"0" * t + b"1" * (256 - t))
+                              for t in range(1, top + 1)))
+                    for j, top in enumerate(roots[-1]))
     bits = _digit_bits(rs)
     lam, b = _raise(rs._cartan_cols, range(n), tuple(-1 << (bits * j) for j in range(n)))
     maxcoef, maxstep = _estimator_bounds(rs)
+    negated = tuple(-m for m in maxcoef)
     l1 = _eps_l1(rst.family)
 
     def estimate(v) -> int:
-        h = 0
-        for vj, mj in zip(v, maxcoef):
-            if vj > h * mj:  # ceil(vj / mj) > h
-                h = -(-vj // mj)
+        h = -min(map(floordiv, v, negated))  # max_j ceil(v_j / theta_j)
         if maxstep and (q := -(-l1(v) // maxstep)) > h:
             h = q
         return h
 
     return _System(
-        blocked=tuple(bitset(pairings[i::n], positive) for i in range(n)),
-        atleast=tuple((every, *(bitset(coeffs[j::n], b"0" * t + b"1" * (256 - t))
-                                for t in range(1, top + 1)), 0)
-                      for j, top in enumerate(roots[-1])),
-        tops=tuple(t + 1 for t in roots[-1]),
+        free=tuple(bitset(pairings[i::n], nonpositive) for i in range(n)),
+        atleast=atleast,
+        columns=tuple((top, tuple(every ^ a for a in col[1:]), col)
+                      for top, col in zip(roots[-1], atleast)),
         bits=bits, lam=lam, b=b, estimate=estimate,
     )
 
@@ -350,7 +356,7 @@ def _same(chi, v):
 
 def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     """Steps ``(r, k)`` along positive root k from a Levi-dominant state
-    ``(chi, v)`` under a slack, lazily.
+    ``(chi, v)`` under a slack of at least 1, lazily.
 
     ``usable`` is the bitset of usable roots (see :func:`_system`).
     A ladder step costs r = <chi, beta^vee> in 1..``slack`` and subtracts
@@ -358,11 +364,15 @@ def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     the W-orbit of the antidominant -omega_d and so above it.  A unit step
     costs 1 and subtracts beta.  Both keep only the usable roots that fit
     under v, and of each orbit of the stabilizer of chi (the s_i, i in
-    ``levi``, with chi_i = 0) only the member outside every ``blocked[i]``.
+    ``levi``, with chi_i = 0) only the member in every ``free[i]``.
     Both also drop, before any pairing, the roots whose child cannot meet
     the slack: for r >= 1 and beta_j <= theta_j, beta_j < v_j - (slack - 1)*theta_j
     leaves v_j - r*beta_j > (slack - r)*theta_j, and canonicalizing only
-    raises v, so r + h(child) > slack.  Unit steps come lowest root first
+    raises v, so r + h(child) > slack.  The cut under v needs
+    v_j < theta_j and, at slack >= 2, the slack cut needs v_j > theta_j,
+    so each coordinate costs at most one lookup in ``columns[j]`` and one
+    AND; at slack 1 the two cuts leave only the root equal to v, if v is
+    one, read from the root index.  Unit steps come lowest root first
     and ladder steps highest root first: in both searches that order
     builds the fewest children before one fits (measured; on every E8
     cell the lattice search dives with one child per unit of its bound).
@@ -370,19 +380,25 @@ def _make_moves(rs: RootSystem, usable: int, levi, ladder):
     repeat an orbit.
     """
     system = _system(rs.rst)
-    blocked, atleast, tops = system.blocked, system.atleast, system.tops
-    coroots, theta = rs._coroots, rs.positive_roots[-1]
+    free, columns, index, coroots = system.free, system.columns, rs._root_index, rs._coroots
 
     def successors(chi, v, slack):
         mask = usable
         for i in levi:
             if not chi[i]:
-                mask &= ~blocked[i]
-        for j, vj in enumerate(v):
-            if vj < tops[j]:
-                mask &= ~atleast[j][vj + 1]
-            if (t := vj - (slack - 1) * theta[j]) > 0:
-                mask &= atleast[j][min(t, tops[j])]
+                mask &= free[i]
+        if slack == 1:
+            k = index.get(v)
+            mask &= 0 if k is None else 1 << k
+        else:
+            reach = slack - 1
+            for vj, (th, below, above) in zip(v, columns):
+                if vj < th:
+                    mask &= below[vj]
+                elif (t := vj - reach * th) > 0:
+                    if t > th:  # no root reaches t
+                        return
+                    mask &= above[t]
         if not ladder:
             while mask:
                 low = mask & -mask

@@ -24,6 +24,8 @@ def _make_canon(cols, indices):
 
     J is the set of 0-based ``indices``; ``chi`` is a weight in fundamental
     coordinates and ``v`` a vector in root coordinates that moves with it.
+    Only the coordinates in J are tested, so a state that is already
+    W_J-dominant comes back as it is, whatever its other coordinates.
     While some chi_i < 0 with i in J, s_i adds -chi_i to v_i and subtracts
     chi_i times column i of the Cartan matrix from chi; only i's
     neighbours can newly turn negative.  The dominant point is unique, so
@@ -34,8 +36,6 @@ def _make_canon(cols, indices):
         inside[i] = True
 
     def canon(chi, v):
-        if min(chi) >= 0:
-            return chi, v
         todo = [i for i in indices if chi[i] < 0]
         if not todo:
             return chi, v
@@ -62,11 +62,15 @@ def _raise(cols, indices, chi):
 
 
 def _sigma(rs: RootSystem) -> tuple:
-    """sigma = -w0 as (sigma(1), ..., sigma(n)).  w0 raises the regular
-    antidominant -sum_j 2**j omega_{j+1} to sum_j 2**j omega_{sigma(j+1)},
-    and sigma is an involution, so sigma(i) is coordinate i's bit length."""
-    top, _ = _raise(rs._cartan_cols, range(rs.rank), tuple(-1 << j for j in range(rs.rank)))
-    return tuple(x.bit_length() for x in top)
+    """sigma = -w0 as (sigma(1), ..., sigma(n)), raised once per root system
+    and kept in its ``_sigma`` slot.  w0 raises the regular antidominant
+    -sum_j 2**j omega_{j+1} to sum_j 2**j omega_{sigma(j+1)}, and sigma is
+    an involution, so sigma(i) is coordinate i's bit length."""
+    sigma = rs._sigma
+    if sigma is None:
+        top, _ = _raise(rs._cartan_cols, range(rs.rank), tuple(-1 << j for j in range(rs.rank)))
+        sigma = rs._sigma = tuple(x.bit_length() for x in top)
+    return sigma
 
 
 def _height_quotient(roots) -> int:

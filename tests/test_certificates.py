@@ -171,6 +171,12 @@ def test_d_node1_every_pair_choice_works():
                 assert rep.valid and rep.strict
 
 
+@pytest.mark.parametrize("d", [True, 0, -1, 6])
+def test_pair_choices_check_the_index(d):
+    with pytest.raises(RootSystemError, match=f"simple index {d!r}"):
+        catalog_pair_choices(build("D5"), d)
+
+
 def test_no_catalog_for_uncovered_configurations():
     assert catalog_certificate(build("B4"), P(4, 4), 2) is None
     assert catalog_certificate(build("C5"), P(5, 1), 1) is None

@@ -17,7 +17,7 @@ from weylpath import vanishing
 from weylpath.certificates import (
     best_certificate, catalog_certificate, epsilon_to_root, path_certificate,
 )
-from weylpath.rootsystem import eps_from_root_coords
+from weylpath.rootsystem import _eps_l1, eps_from_root_coords
 from weylpath.vanishing import (
     InternalInconsistencyError, TargetWeight, _estimator_bounds, _search_data, _system,
     allowed_root_indices,
@@ -822,6 +822,72 @@ def test_slack_filter_keeps_every_child_that_fits(monkeypatch, label, p, lattice
                     assert {(r, c) for r, _, c in fits} <= \
                         {(r, search.step(chi, v, r, k)[0]) for r, k in got}, (d, chi, left)
         seen.clear()
+
+
+STEP_TABLE_LABELS = ([f"{f}{n}" for f in "ABC" for n in range(2, 9)]
+                     + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _reference_moves(rs, d, levi, ladder, chi, v, slack):
+    # The successor formula from the roots themselves: usable at d, off the
+    # stabilizer's blocked roots (<beta, alpha_i^vee> > 0 at a zero chi_i,
+    # i in levi), under v, and at least v_j - (slack - 1)*theta_j at every
+    # j; unit steps lowest root first, ladder steps highest root first.
+    theta, funds = rs.positive_roots[-1], rs._fund_coords
+    kept = [k for k, beta in enumerate(rs.positive_roots)
+            if beta[d - 1] >= 1
+            and not any(chi[i] == 0 and funds[k][i] > 0 for i in levi)
+            and all(vj - (slack - 1) * th <= bj <= vj for bj, vj, th in zip(beta, v, theta))]
+    if not ladder:
+        return [(1, k) for k in kept]
+    pairs = [(rs.pairing(chi, rs.positive_roots[k]), k) for k in reversed(kept)]
+    return [(r, k) for r, k in pairs if 0 < r <= slack]
+
+
+def _reference_estimate(rs, v):
+    maxcoef, maxstep = _estimator_bounds(rs)
+    l1 = _eps_l1(rs.rst.family)
+    h = 0
+    for vj, mj in zip(v, maxcoef):
+        if vj > h * mj:  # ceil(vj / mj) > h
+            h = -(-vj // mj)
+    if maxstep and (q := -(-l1(v) // maxstep)) > h:
+        h = q
+    return h
+
+
+@pytest.mark.parametrize("label", STEP_TABLE_LABELS)
+def test_step_tables_match_bitset_formulas(label):
+    # Seeded Levi-dominant states: v a sum of a few positive roots, now and
+    # then raised at one coordinate, and chi either v's own weight, as in
+    # the lattice search, or a random weight; every slack from 1 to two
+    # above the estimate, so that slack 1 meets residuals that are roots.
+    rs = build(label)
+    roots, funds = rs.positive_roots, rs._fund_coords
+    rng = random.Random(f"step tables {label}")
+    levi_of = {d: tuple(i for i in range(rs.rank) if i != d - 1) for d in range(1, rs.rank + 1)}
+    for d in range(1, rs.rank + 1):
+        search = _search_data(rs.rst, d)
+        for trial in range(24):
+            picks = rng.choices(range(len(roots)), k=rng.randint(1, 4))
+            v = [sum(roots[k][j] for k in picks) for j in range(rs.rank)]
+            if trial % 3 == 2:
+                v[rng.randrange(rs.rank)] += rng.randint(1, 2)
+            if trial % 2:
+                chi = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+            else:
+                chi = tuple(sum(funds[k][j] for k in picks) for j in range(rs.rank))
+            chi, v = search.canon(chi, tuple(v))
+            assert search.estimate(v) == _reference_estimate(rs, v), (label, v)
+            for slack in range(1, search.estimate(v) + 3):
+                for moves, levi, ladder in ((search.ladder, levi_of[d], True),
+                                            (search.subtract, levi_of[d], False),
+                                            (search.walk, (), True)):
+                    want = _reference_moves(rs, d, levi, ladder, chi, v, slack)
+                    assert list(moves(chi, v, slack)) == want, (label, d, chi, v, slack, ladder)
+    for _ in range(200):
+        v = tuple(rng.randint(0, 3 * th) for th in roots[-1])
+        assert search.estimate(v) == _reference_estimate(rs, v), (label, v)
 
 
 @pytest.mark.parametrize("label,p", EQUIVALENCE_CONFIGS)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from weylpath import (
-    Parabolic, build,
+    Parabolic, RootSystem, build,
     apply_word, apply_word_to_root, cominuscule_indices, involution_index, longest_element,
     minuscule_indices, orbit, orbit_size, tau_on_omitted_root,
     weyl_involution, weyl_order, word_length, words_equal,
@@ -118,6 +118,21 @@ def test_weyl_involution_tables():
     assert [involution_index(build("D5"), d) for d in range(1, 6)] == [1, 2, 3, 5, 4]
     assert [involution_index(build("D6"), d) for d in range(1, 7)] == [1, 2, 3, 4, 5, 6]
     assert [involution_index(build("A5"), d) for d in range(1, 6)] == [5, 4, 3, 2, 1]
+
+
+def test_involution_index_raises_once_per_root_system(monkeypatch):
+    rs = RootSystem(build("A60").rst)  # fresh: no sigma kept yet
+    raises = []
+
+    def counted(*args):
+        raises.append(args)
+        return real(*args)
+
+    real = weylgroup._raise
+    monkeypatch.setattr(weylgroup, "_raise", counted)
+    assert [involution_index(rs, d) for d in range(1, 61)] == list(range(60, 0, -1))
+    assert weyl_involution(rs, tuple(range(60))) == tuple(range(59, -1, -1))
+    assert len(raises) == 1
 
 
 def test_weyl_involution_is_involutive():
