@@ -25,7 +25,8 @@ import json
 from collections.abc import Sequence
 
 from .rootsystem import (
-    Parabolic, RootSystem, RootSystemError, RootSystemType, root_coords_from_eps,
+    Parabolic, RootSystem, RootSystemError, RootSystemType, _coords_from_eps,
+    root_coords_from_eps,
 )
 from .vanishing import Certificate, shortest_path
 from .weylgroup import cominuscule_indices
@@ -39,24 +40,35 @@ def epsilon_to_root(rs: RootSystem, eps: Sequence) -> tuple:
     """Simple-root coordinates of a root given in epsilon coordinates.
 
     Rejects vectors that are not roots of the system (the conversion
-    itself is linear; root membership is what is being certified).
+    itself is linear; root membership is what is being certified).  An
+    odd C/D half is a ``Fraction``, which no root's coordinates hold.
     """
     coords = root_coords_from_eps(rs.rst, eps)
-    if not all(isinstance(x, int) for x in coords) or not rs.is_root(coords):
+    if not rs.is_root(coords):
         raise RootSystemError(f"epsilon vector {tuple(eps)} is not a root of {rs.rst}")
-    return tuple(coords)
+    return coords
 
 
 def _eps_entries(rs: RootSystem, vectors) -> tuple:
-    """Certificate entries, each of multiplicity 1, for roots written as
-    sparse epsilon vectors ``((index, value), ...)`` with 1-based indices."""
-    size = rs.rank + (rs.rst.family == "A")
+    """Certificate entries, each of multiplicity 1, for positive roots
+    written as sparse epsilon vectors ``((index, value), ...)`` with
+    1-based indices.
+
+    The generators write plain ints of the right length, so each vector
+    goes straight to :func:`_coords_from_eps`, and one root-index lookup
+    checks the result.
+    """
+    fam, index = rs.rst.family, rs._root_index
+    size = rs.rank + (fam == "A")
     entries = []
     for vector in vectors:
         eps = [0] * size
         for i, x in vector:
             eps[i - 1] += x
-        entries.append((epsilon_to_root(rs, eps), 1))
+        coords = _coords_from_eps(fam, eps)
+        if coords not in index:
+            raise RootSystemError(f"epsilon vector {tuple(eps)} is not a positive root of {rs.rst}")
+        entries.append((coords, 1))
     return tuple(entries)
 
 

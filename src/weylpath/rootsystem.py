@@ -470,37 +470,49 @@ def _eps_l1(family):
     }.get(family)
 
 
+def _coords_from_eps(family: str, eps: Sequence) -> tuple:
+    """Simple-root coordinates of an epsilon vector of plain ints whose
+    length fits ``family`` (and which sums to 0 in type A), unchecked.
+
+    The coordinates are the prefix sums ``run`` of ``eps``, except that A
+    drops the last (zero) one, C halves the last one and D replaces the
+    last two by half of ``run[-2] -+ eps[-1]``.  An odd half comes back as
+    a ``Fraction``; every other entry is an ``int``.
+    """
+    run = tuple(accumulate(eps))
+    if family == "A":
+        return run[:-1]
+    if family == "B":
+        return run
+
+    def half(x):
+        return Fraction(x, 2) if x % 2 else x // 2
+
+    if family == "C":
+        return (*run[:-1], half(run[-1]))
+    return (*run[:-2], half(run[-2] - eps[-1]), half(run[-2] + eps[-1]))
+
+
 def root_coords_from_eps(rst: RootSystemType, eps: Sequence) -> tuple:
     """Simple-root coordinates of an epsilon vector of plain ints.
 
-    Inverts :func:`eps_from_root_coords`: the coordinates are the prefix
-    sums ``run`` of ``eps``, except that C halves the last one and D
-    replaces the last two by half of ``run[-2] -+ eps[-1]``.  An odd half
-    comes back as a ``Fraction``; every other entry is an ``int``.  Raises
-    :class:`RootSystemError` for entries that are not plain ints (bool,
-    float and str included), a wrong length, or a type A sum other than 0.
+    Inverts :func:`eps_from_root_coords` by :func:`_coords_from_eps`: an
+    odd C/D half comes back as a ``Fraction``, every other entry as an
+    ``int``.  Raises :class:`RootSystemError` for entries that are not
+    plain ints (bool, float and str included), a wrong length, or a type
+    A sum other than 0.
     """
     fam, n = rst.family, rst.rank
     if fam not in "ABCD":
         raise RootSystemError(f"{rst} has no epsilon realization here")
     if any(type(x) is not int for x in eps):
         raise RootSystemError(f"epsilon vector {tuple(eps)} must hold plain integers")
-    run = tuple(accumulate(eps))
     if fam == "A":
-        if len(run) != n + 1 or run[-1] != 0:
+        if len(eps) != n + 1 or sum(eps) != 0:
             raise RootSystemError(f"type A epsilon vector must have length {n + 1} and sum 0")
-        return run[:-1]
-    if len(run) != n:
+    elif len(eps) != n:
         raise RootSystemError(f"epsilon vector must have length {n}")
-    if fam == "B":
-        return run
-
-    def half(x):
-        return Fraction(x, 2) if x % 2 else x // 2
-
-    if fam == "C":
-        return (*run[:-1], half(run[-1]))
-    return (*run[:-2], half(run[-2] - eps[-1]), half(run[-2] + eps[-1]))
+    return _coords_from_eps(fam, eps)
 
 
 @lru_cache(maxsize=None)

@@ -107,8 +107,8 @@ class CertificateValidation(namedtuple("CertificateValidation", [
     "roots_ok",           # every entry is a positive root
     "outside_levi",       # every entry lies outside the Levi at d
     "sum_matches",        # (a) weighted sum equals the target weight
-    "orthogonal",         # (b) pairwise coroot pairings vanish
-    "ladder_uniform",     # (c) <chi0, beta_j^vee> = n_j for every j at once
+    "orthogonal",         # (b) pairwise coroot pairings vanish; None when not checked
+    "ladder_uniform",     # (c) <chi0, beta_j^vee> = n_j for every j at once; None likewise
     "ladder_sequential",  # order-sensitive ladder: pairing equals n_j at each step
     "cost",
     "dijkstra",
@@ -128,7 +128,10 @@ class CertificateValidation(namedtuple("CertificateValidation", [
 
     @property
     def strict(self) -> bool:
-        """Valid and pairwise orthogonal (reflections mutually commute)."""
+        """Valid and pairwise orthogonal (reflections mutually commute).
+
+        Falsy for a check made with ``strict=False``, which skips (b) and (c).
+        """
         return self.valid and self.orthogonal and self.ladder_uniform
 
 
@@ -629,7 +632,8 @@ def _maximal_at(rank: int, i: int):
 # certificates
 # ---------------------------------------------------------------------------
 
-def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidation:
+def check_certificate(rs: RootSystem, cert: Certificate, *,
+                      strict: bool = True) -> CertificateValidation:
     """Validate every clause of a certificate independently.
 
     Clauses: (a) the weighted root sum equals the target; (b) the roots
@@ -646,6 +650,12 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     entries adds no pairs; it lists at most :data:`MAX_PAIR_FAILURES`
     non-orthogonal pairs, and (c) and each membership check as many
     failing entries, each list then one line saying it was cut.
+
+    With ``strict=False`` clauses (b) and (c), which only the ``strict``
+    verdict reads, are skipped: ``orthogonal`` and ``ladder_uniform``
+    come back ``None`` and no (b) or (c) line is listed.  Every clause
+    that ``valid`` reads runs as with the default, so ``valid``,
+    ``cost`` and the other failure lines, in order, are the same.
 
     Target, source and c_alpha are read from the parabolic's cached target
     record, which never runs the path or lattice oracle; the path order
@@ -696,11 +706,12 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
     if not sum_matches:
         failures.append(f"(a) sum {total} != target {target}")
 
-    orthogonal = True
-    ladder_uniform = ladder_sequential = roots_ok
-    if roots_ok:
-        # Every entry is a positive root, so its coroot and fundamental
-        # coordinates come from the root system's integer table.
+    orthogonal = True if strict else None
+    ladder_uniform = roots_ok if strict else None
+    ladder_sequential = roots_ok
+    # Every entry is a positive root, so its coroot and fundamental
+    # coordinates come from the root system's integer table.
+    if roots_ok and strict:
         first = {}
         for (c, _), k in zip(entries, ks):
             first.setdefault(k, c)
@@ -719,7 +730,11 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
             if r != n:
                 ladder_uniform = False
                 fail("(c)", f"(c) <chi0, {c}^vee> = {r} != {n}")
+        # The source is target - omega_d, so the order-free ladder ends at
+        # the sink exactly when the entries sum to the target: clause (a).
+        ladder_uniform = ladder_uniform and sum_matches
 
+    if roots_ok:
         chi = chi0
         for (c, n), k in zip(entries, ks):
             r = sum(map(mul, chi, coroots[k]))
@@ -733,9 +748,6 @@ def check_certificate(rs: RootSystem, cert: Certificate) -> CertificateValidatio
             if chi != sink:
                 ladder_sequential = False
                 failures.append(f"sequential ladder ends at {chi}, not {sink}")
-    # The source is target - omega_d, so the order-free ladder ends at the
-    # sink exactly when the entries sum to the target: clause (a).
-    ladder_uniform = ladder_uniform and sum_matches
 
     m = _dijkstra_cached(rs.rst, parab, d)
     cost = cert.cost

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -9,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from weylpath import (
-    Certificate, Parabolic, RootSystem, RootSystemError, build,
+    Certificate, Parabolic, RootSystem, RootSystemError, RootSystemType, build,
     best_certificate, catalog_certificate, catalog_pair_choices,
     certificate_from_dict, certificate_to_dict, check_certificate,
     dijkstra_order, dump_certificate, epsilon_to_root, load_certificate,
-    path_certificate,
+    path_certificate, target_weight,
 )
-from weylpath.certificates import MAX_CERTIFICATE_RANK
+from weylpath.certificates import MAX_CERTIFICATE_RANK, _eps_entries
 from weylpath.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +40,16 @@ def test_epsilon_to_root_examples():
         vec[d - 1] = 2
         coords = epsilon_to_root(rs, tuple(vec))
         assert coords == tuple([0] * (d - 1) + [2] * (5 - d) + [1])
+
+
+def test_conversion_refuses_halves_and_negative_roots():
+    # e1 in C3 has coordinates (1, 1, 1/2): the odd half is a Fraction,
+    # which no root's coordinates hold.
+    with pytest.raises(RootSystemError, match=r"epsilon vector \(1, 0, 0\) is not a root"):
+        epsilon_to_root(build("C3"), (1, 0, 0))
+    # e2 - e1 is a root of D5, but a negative one, so no certificate entry.
+    with pytest.raises(RootSystemError, match=r"epsilon vector \(-1, 1, 0, 0, 0\)"):
+        _eps_entries(build("D5"), (((2, 1), (1, -1)),))
 
 
 def test_epsilon_to_root_rejects_non_roots():
@@ -479,3 +492,88 @@ def test_check_cert_caps_every_per_entry_clause(tmp_path, capsys):
     assert counts == {"(b)": 0, "(c)": 0, "Levi": cap, "positive": cap, "multiplicity": cap}
     for check in ("multiplicity < 1:", "not a positive root:"):
         assert f"  ! {check} list cut after {MAX_PAIR_FAILURES} entries" in lines
+
+
+# -- the clauses that valid reads ---------------------------------------------
+
+def _bench_workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unparsed(doc):
+    """The certificate a document names, built without the parser's checks."""
+    return Certificate(rst=RootSystemType(doc["family"], doc["rank"]),
+                       omitted=doc["parabolic_omitted_index"], d=doc["d"],
+                       entries=tuple((tuple(e["root_coords"]), e["multiplicity"])
+                                     for e in doc["entries"]))
+
+
+def _mutated(workloads, kind, cert, rng):
+    """``cert`` under one certs-stream mutation, as the stream's JSON reads back."""
+    text = json.dumps(workloads._mutate(kind, certificate_to_dict(cert), rng))
+    return _unparsed(json.loads(text.replace(f'"{workloads._HUGE}"', "1e400")))
+
+
+VALID_FIELDS = ("valid", "cost", "roots_ok", "outside_levi", "sum_matches",
+                "ladder_sequential", "cost_matches")
+
+
+def _assert_non_strict_matches(rs, cert):
+    try:
+        full = check_certificate(rs, cert)
+    except RootSystemError as exc:
+        with pytest.raises(RootSystemError, match=re.escape(str(exc))):
+            check_certificate(rs, cert, strict=False)
+        return
+    rep = check_certificate(rs, cert, strict=False)
+    assert [getattr(rep, f) for f in VALID_FIELDS] == [getattr(full, f) for f in VALID_FIELDS], cert
+    assert rep.orthogonal is None and rep.ladder_uniform is None
+    assert rep.failures == tuple(f for f in full.failures if not f.startswith(("(b)", "(c)")))
+
+
+NON_STRICT_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
+)
+
+
+@pytest.mark.parametrize("label", NON_STRICT_LABELS)
+def test_non_strict_check_matches_the_full_check(label):
+    rs = build(label)
+    n = rs.rank
+    for p in range(1, n + 1):
+        for d in range(1, n + 1):
+            for cert in (catalog_certificate(rs, P(n, p), d), path_certificate(rs, P(n, p), d)):
+                if cert is not None:
+                    _assert_non_strict_matches(rs, cert)
+
+
+def test_non_strict_check_matches_the_full_check_under_every_mutation():
+    workloads = _bench_workloads()
+    rng = random.Random(25)
+    bases = [catalog_certificate(build("E7"), P(7, 7), 4),
+             catalog_certificate(build("D6"), P(6, 1), 2),
+             path_certificate(build("B5"), P(5, 5), 5)]
+    for kind in workloads.MUTATIONS:
+        for base in bases:
+            cert = _mutated(workloads, kind, base, rng)
+            _assert_non_strict_matches(build(cert.rst), cert)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_certificate_with_no_entries(strict):
+    # The certs stream's wrong_sum_drop on A7/P3 at d = 1 deletes the one entry.
+    workloads = _bench_workloads()
+    rs = build("A7")
+    cert = _mutated(workloads, "wrong_sum_drop", catalog_certificate(rs, P(7, 3), 1),
+                    random.Random(0))
+    assert cert.entries == ()
+    rep = check_certificate(rs, cert, strict=strict)
+    assert not rep.valid and not rep.sum_matches
+    target = target_weight(rs, P(7, 3), 1).root_coords
+    assert [f for f in rep.failures if f.startswith("(a)")] == [
+        f"(a) sum {(0,) * 7} != target {target}"]

@@ -164,6 +164,38 @@ def test_e8_every_node():
         assert (rep.m_profile, lattice) == E8_PLAIN_PROFILES[p], p
 
 
+DIM_QUOTIENT_LABELS = (
+    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 5)]
+    + [f"C{n}" for n in range(2, 5)] + ["D4", "D5", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", DIM_QUOTIENT_LABELS)
+def test_dim_quotient_counts_roots_off_the_levi_on_every_parabolic(label):
+    # Every nonempty omitted set, the non-maximal ones included: |R+| less
+    # the roots with coefficient 0 at every omitted index.
+    rs = build(label)
+    n = rs.rank
+    for mask in range(1, 1 << n):
+        omitted = [j for j in range(1, n + 1) if mask >> (j - 1) & 1]
+        levi = sum(all(c[j - 1] == 0 for j in omitted) for c in rs.positive_roots)
+        assert dim_quotient(rs, Parabolic(n, omitted)) == rs.num_positive_roots - levi, omitted
+
+
+def test_verify_checks_certificates_without_the_strict_clauses(monkeypatch):
+    module = sys.modules["weylpath.verify"]
+    original, calls = module.check_certificate, []
+
+    def recording(rs, cert, **kwargs):
+        calls.append(kwargs)
+        return original(rs, cert, **kwargs)
+
+    monkeypatch.setattr(module, "check_certificate", recording)
+    rep = verify("D", 5, omitted=5)
+    assert calls == [{"strict": False}] * 5
+    assert all(row.certificate_cost == row.m_dijkstra for row in rep.rows)
+
+
 def test_dim_quotient_rejects_parabolic_of_wrong_rank():
     for parab in (Parabolic.maximal(5, 5), Parabolic.maximal(2, 1)):
         with pytest.raises(RootSystemError):
