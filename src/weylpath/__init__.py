@@ -28,7 +28,8 @@ from .vanishing import (
 )
 from .certificates import (
     best_certificate, catalog_certificate, catalog_pair_choices, certificate_from_dict,
-    certificate_to_dict, dump_certificate, epsilon_to_root, load_certificate, path_certificate,
+    certificate_to_dict, dump_certificate, epsilon_to_root, greedy_certificate, load_certificate,
+    path_certificate,
 )
 from .verify import (
     SuiteReport, VerificationReport, clear_caches, dim_quotient, list_minuscule, report_from_dict,
@@ -46,10 +47,10 @@ __all__ = [
     "check_certificate", "coefficient_lower_bound", "dijkstra_order", "distinguished_index",
     "lattice_lower_bound", "shortest_path", "source_weight", "target_weight", "vanishing_result",
     "best_certificate", "catalog_certificate", "catalog_pair_choices", "certificate_from_dict",
-    "certificate_to_dict", "dump_certificate", "epsilon_to_root", "load_certificate",
-    "path_certificate", "SuiteReport", "VerificationReport", "clear_caches", "dim_quotient",
-    "list_minuscule", "report_from_dict", "report_from_json", "report_to_dict", "report_to_json",
-    "report_to_markdown", "suite_to_dict", "suite_to_json", "suite_to_markdown",
+    "certificate_to_dict", "dump_certificate", "epsilon_to_root", "greedy_certificate",
+    "load_certificate", "path_certificate", "SuiteReport", "VerificationReport", "clear_caches",
+    "dim_quotient", "list_minuscule", "report_from_dict", "report_from_json", "report_to_dict",
+    "report_to_json", "report_to_markdown", "suite_to_dict", "suite_to_json", "suite_to_markdown",
     "tabulated_configurations", "verify", "verify_suite",
 ]
 

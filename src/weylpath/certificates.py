@@ -15,8 +15,10 @@ is the one conversion to simple-root coordinates, and the diagram flips
 of A and D are sign changes of epsilon coordinates.  The catalog covers
 every cominuscule parabolic except the odd quadric B_n/P1; everywhere
 else, the odd orthogonal spin configurations included,
-:func:`path_certificate` extracts a tuple from the canonical cheapest
-path.
+:func:`greedy_certificate` reads a tuple off the highest-root-first
+ladder, with no search.  :func:`path_certificate` extracts one from the
+canonical cheapest path; only the witnesses (``verify --witnesses``)
+walk that path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, _coords_from_eps,
     root_coords_from_eps,
 )
-from .vanishing import Certificate, shortest_path
+from .vanishing import (
+    Certificate, _make_step, _same, _search_data, _target_cached, shortest_path,
+)
 from .weylgroup import cominuscule_indices
 
 
@@ -215,11 +219,40 @@ def catalog_pair_choices(rs: RootSystem, d: int) -> list:
             for j in range(d + 1, n + 1)]
 
 
+def greedy_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate:
+    """Certificate read off the highest-root-first ladder, without search.
+
+    From the source, each step takes the first ``(r, k)`` the single-weight
+    ladder yields under the residual's height, the highest usable root
+    with <chi, beta^vee> >= 1 that fits under the residual, and never
+    backs up.  Every step lowers ht(v), so the walk takes at most
+    ht(target) steps.  It reads neither m nor any other route's answer,
+    so clause (d) compares two independent computations.  Its cost has
+    equalled the path order on every cell tried, but nothing here
+    assumes so: if the walk runs out of steps before v = 0 the partial
+    tuple is returned, and :func:`check_certificate` rejects it.
+    """
+    rs._check_parabolic(parabolic)
+    rs._check_index(d)
+    tw, chi, _ = _target_cached(rs.rst, parabolic, d)
+    walk, step, roots = _search_data(rs.rst, d).walk, _make_step(rs, _same), rs.positive_roots
+    v, entries = tw.root_coords, []
+    while any(v) and (first := next(walk(chi, v, sum(v)), None)):
+        r, k = first
+        chi, v = step(chi, v, r, k)
+        entries.append((roots[k], r))
+    return Certificate(rst=rs.rst, omitted=parabolic.omitted_index, d=d, entries=tuple(entries),
+                       origin="greedy")
+
+
 def path_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate:
     """Certificate read off the canonical cheapest extremal-weight path.
 
-    Always available; the sequential ladder holds by construction.  This
-    is the generic route for configurations without tabulated tuples.
+    Always available; the sequential ladder holds by construction.  It
+    walks the canonical witness (:func:`shortest_path`) under the path
+    order, backing up where a child does not fit, so it is the costly
+    route; :func:`best_certificate` uses :func:`greedy_certificate`
+    instead, and this one serves the witness's own tests and demos.
     """
     _, steps, _ = shortest_path(rs, parabolic, d)
     return Certificate(rst=rs.rst, omitted=parabolic.omitted_index, d=d, entries=steps,
@@ -227,9 +260,9 @@ def path_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificat
 
 
 def best_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate:
-    """Tabulated certificate when one exists, else the path certificate."""
+    """Tabulated certificate when one exists, else the greedy certificate."""
     cert = catalog_certificate(rs, parabolic, d)
-    return cert if cert is not None else path_certificate(rs, parabolic, d)
+    return cert if cert is not None else greedy_certificate(rs, parabolic, d)
 
 
 # ---------------------------------------------------------------------------

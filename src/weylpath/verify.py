@@ -82,10 +82,12 @@ def verify(family, rank: int | None = None, omitted: int | None = None, *,
            with_witnesses: bool = False) -> VerificationReport:
     """Full vanishing-order report for one (system, maximal parabolic).
 
-    The report is assembled on every call from the cached oracles; with
-    ``with_witnesses`` each witness not held by a path certificate is
-    walked again, as every :func:`shortest_path` call walks it.  Each
-    row's certificate is checked only in the clauses that ``valid`` reads
+    The report is assembled on every call from the cached oracles.  Each
+    row's certificate is the catalog's or else the greedy ladder's
+    (:func:`best_certificate`), so no witness is walked unless
+    ``with_witnesses`` asks for one; each is then walked by
+    :func:`shortest_path`, as every call walks it.  The certificate is
+    checked only in the clauses that ``valid`` reads
     (``check_certificate(..., strict=False)``), since the report keeps
     only its cost.
     """
@@ -99,12 +101,11 @@ def verify(family, rank: int | None = None, omitted: int | None = None, *,
     for d in range(1, rs.rank + 1):
         cert = best_certificate(rs, parab, d)
         rep = check_certificate(rs, cert, strict=False)
-        cost = rep.cost if rep.valid else None
-        rows.append(vanishing_result(rs, parab, d, certificate_cost=cost))
+        row = vanishing_result(rs, parab, d, certificate_cost=rep.cost if rep.valid else None)
+        # A certificate that fails its check is a disagreement, not a missing route.
+        rows.append(row if rep.valid else row._replace(agreed=False))
         if with_witnesses:
-            # A path certificate already holds the canonical witness's steps.
-            steps = cert.entries if cert.origin == "path" else shortest_path(rs, parab, d)[1]
-            witnesses.append(steps)
+            witnesses.append(shortest_path(rs, parab, d)[1])
     sum_m = sum(r.m_dijkstra for r in rows)
     dim = dim_quotient(rs, parab)
     return VerificationReport(

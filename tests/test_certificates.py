@@ -14,10 +14,11 @@ import pytest
 from weylpath import (
     Certificate, Parabolic, RootSystem, RootSystemError, RootSystemType, build,
     best_certificate, catalog_certificate, catalog_pair_choices,
-    certificate_from_dict, certificate_to_dict, check_certificate,
-    dijkstra_order, dump_certificate, epsilon_to_root, load_certificate,
-    path_certificate, target_weight,
+    certificate_from_dict, certificate_to_dict, check_certificate, clear_caches,
+    dijkstra_order, dump_certificate, epsilon_to_root, greedy_certificate, load_certificate,
+    path_certificate, shortest_path, target_weight, verify,
 )
+from weylpath import certificates, vanishing
 from weylpath.certificates import MAX_CERTIFICATE_RANK, _eps_entries
 from weylpath.cli import main
 
@@ -211,7 +212,121 @@ def test_path_certificates_cover_spin_b(n):
 def test_best_certificate_prefers_catalog():
     rs = build("E6")
     assert best_certificate(rs, P(6, 1), 1).origin == "catalog"
-    assert best_certificate(build("B3"), P(3, 3), 3).origin == "path"
+    assert best_certificate(build("B3"), P(3, 3), 3).origin == "greedy"
+
+
+def _closed_form(family, n, p, d):
+    """The observed classical profile m_d of family_n/P_p (ROADMAP item 3)."""
+    if family == "A":
+        return min(d, p, n + 1 - d, n + 1 - p)
+    if family == "C":
+        return min(d, p)
+    if family == "D" and p >= n - 1 and d >= n - 1:
+        # the two spin nodes: even n gives n/2 at d = p and (n - 2)/2 at the other
+        return (n - 1) // 2 if n % 2 else n // 2 - (d != p)
+    # B, and D below its spin nodes: the B_n form with d = n standing for d >= n - 1
+    if d < p:
+        return d
+    if d < n - (family == "D"):
+        return p + p % 2
+    return (p + 1) // 2
+
+
+GREEDY_LABELS = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+    + [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(3, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_greedy_certificates_are_exact_and_classical_profiles_closed():
+    # Every maximal parabolic up to rank 8, E6-E8, F4 and G2 included, and
+    # A-D up to rank 12: 2762 cells, about 1 s cold (under 6 s allowed).
+    # The greedy tuple passes the full check and costs exactly the path
+    # order, and the A-D orders (D from rank 4) follow the closed forms.
+    start = time.perf_counter()
+    cells = 0
+    for label in GREEDY_LABELS:
+        rs = build(label)
+        family, n = rs.rst.family, rs.rank
+        for p in range(1, n + 1):
+            parab = P(n, p)
+            for d in range(1, n + 1):
+                cert = greedy_certificate(rs, parab, d)
+                rep = check_certificate(rs, cert)
+                m = dijkstra_order(rs, parab, d)
+                assert cert.origin == "greedy" and rep.valid, (label, p, d, rep.failures)
+                assert rep.cost == m, (label, p, d)
+                if family in "ABCD" and not (family == "D" and n == 3):
+                    assert m == _closed_form(family, n, p, d), (label, p, d)
+                cells += 1
+    assert cells == 2762
+    assert time.perf_counter() - start < 6
+
+
+def test_greedy_certificate_checks_its_arguments():
+    rs = build("B4")
+    for d in (0, 5, True):
+        with pytest.raises(RootSystemError):
+            greedy_certificate(rs, P(4, 4), d)
+    with pytest.raises(RootSystemError):
+        greedy_certificate(rs, P(5, 4), 1)
+
+
+def _old_best_certificate(rs, parab, d):
+    """The certificate route that walked the witness where no catalog tuple is."""
+    cert = catalog_certificate(rs, parab, d)
+    return cert if cert is not None else path_certificate(rs, parab, d)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the canonical witness was walked")
+
+
+WITNESS_FREE = [("B", 5, 5), ("C", 6, 1), ("D", 6, 3), ("E", 8, 4), ("F", 4, 2)]
+
+
+def test_verify_never_walks_a_witness(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["weylpath.verify"], "best_certificate", _old_best_certificate)
+        want = [verify(*config) for config in WITNESS_FREE]
+    witnesses = [shortest_path(build("B5"), P(5, 5), d)[1] for d in range(1, 6)]
+    clear_caches()
+    for module in (vanishing, certificates):
+        monkeypatch.setattr(module, "shortest_path", _refuse)
+    monkeypatch.setattr(certificates, "path_certificate", _refuse)
+    assert [verify(*config) for config in WITNESS_FREE] == want
+    # Only verify's own binding walks witnesses, and only on request.
+    assert verify("B", 5, 5, with_witnesses=True).witnesses == tuple(witnesses)
+
+
+def _stuck_search_data(rst, d):
+    """The step data at d, with a walk that yields nothing after its first step."""
+    search = vanishing._search_data(rst, d)
+    calls = []
+
+    def walk(chi, v, slack):
+        calls.append(v)
+        if len(calls) == 1:
+            yield from search.walk(chi, v, slack)
+
+    return search._replace(walk=walk)
+
+
+def test_stuck_greedy_walk_fails_its_row(monkeypatch):
+    rs, parab = build("B5"), P(5, 5)
+    full = [greedy_certificate(rs, parab, d) for d in range(1, 6)]
+    monkeypatch.setattr(certificates, "_search_data", _stuck_search_data)
+    monkeypatch.setattr(certificates, "path_certificate", _refuse)
+    monkeypatch.setattr(certificates, "shortest_path", _refuse)
+    stuck = [greedy_certificate(rs, parab, d) for d in range(1, 6)]
+    assert [c.entries for c in stuck] == [c.entries[:1] for c in full]
+    assert any(len(c.entries) > 1 for c in full)
+    for row, cert in zip(verify("B", 5, 5).rows, full):
+        if len(cert.entries) > 1:
+            assert (row.certificate_cost, row.agreed) == (None, False), row.d
+        else:
+            assert (row.certificate_cost, row.agreed) == (row.m_dijkstra, True), row.d
 
 
 def test_certificate_dict_round_trip():
@@ -547,7 +662,8 @@ def test_non_strict_check_matches_the_full_check(label):
     n = rs.rank
     for p in range(1, n + 1):
         for d in range(1, n + 1):
-            for cert in (catalog_certificate(rs, P(n, p), d), path_certificate(rs, P(n, p), d)):
+            for cert in (catalog_certificate(rs, P(n, p), d), path_certificate(rs, P(n, p), d),
+                         greedy_certificate(rs, P(n, p), d)):
                 if cert is not None:
                     _assert_non_strict_matches(rs, cert)
 
@@ -557,7 +673,9 @@ def test_non_strict_check_matches_the_full_check_under_every_mutation():
     rng = random.Random(25)
     bases = [catalog_certificate(build("E7"), P(7, 7), 4),
              catalog_certificate(build("D6"), P(6, 1), 2),
-             path_certificate(build("B5"), P(5, 5), 5)]
+             path_certificate(build("B5"), P(5, 5), 5),
+             greedy_certificate(build("B5"), P(5, 5), 5),
+             greedy_certificate(build("D6"), P(6, 3), 4)]
     for kind in workloads.MUTATIONS:
         for base in bases:
             cert = _mutated(workloads, kind, base, rng)

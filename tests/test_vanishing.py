@@ -15,7 +15,7 @@ from weylpath import (
 )
 from weylpath import vanishing
 from weylpath.certificates import (
-    best_certificate, catalog_certificate, epsilon_to_root, path_certificate,
+    best_certificate, catalog_certificate, epsilon_to_root, greedy_certificate, path_certificate,
 )
 from weylpath.rootsystem import _eps_l1, eps_from_root_coords
 from weylpath.vanishing import (
@@ -1223,7 +1223,8 @@ def test_check_certificate_matches_rational_reference(label):
     picks = rng.sample(configs, min(4, len(configs))) + [(n, rng.randint(1, n))]
     for p, d in picks:
         parab = P(n, p)
-        bases = [path_certificate(rs, parab, d), catalog_certificate(rs, parab, d)]
+        bases = [path_certificate(rs, parab, d), catalog_certificate(rs, parab, d),
+                 greedy_certificate(rs, parab, d)]
         for base in filter(None, bases):
             for entries in [base.entries] + [_mutate(rng, rs, d, base.entries) for _ in range(12)]:
                 cert = Certificate(rst=rs.rst, omitted=p, d=d, entries=entries)

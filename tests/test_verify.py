@@ -420,8 +420,8 @@ def test_cold_suite_runs_on_the_integer_root_table(monkeypatch):
 
 
 def test_witnesses_walk_each_path_once(monkeypatch):
-    # A witness whose certificate came from the path is read off the
-    # certificate; E8/P6 has no tabulated tuples, so one walk per d.
+    # E8/P6 has no tabulated tuples, so every certificate comes from the
+    # greedy ladder, which walks no witness: one walk per d, by verify.
     clear_caches()
     calls = []
 
