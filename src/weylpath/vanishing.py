@@ -36,11 +36,17 @@ path and lattice distances are W_L-invariant and their searches run on
 Levi-dominant points (:func:`_search_data`).  Levi roots are not
 usable: a step along one is a W_L move of cost r >= 1, so it never
 shortens a path.  Every search is one depth-first routine
-(:func:`_depth_first`) with a memo of orbits that do not fit a budget.
-The path order (ladder steps) and the lattice bound (unit root
-subtractions) run it on orbits under budgets deepened from the start's
-estimate to the start residual's height (:func:`_deepen`); the witness
-runs it on single weights under the order.  Candidate roots come
+(:func:`_depth_first`).  The path order (ladder steps) and the lattice
+bound (unit root subtractions) run it on orbits under budgets deepened
+from the start's estimate to the start residual's height
+(:func:`_deepen`); the witness runs it on single weights under the
+order.  The graph at d depends only on (system, d): its sink, its
+steps and its orbits are those of W_L at d, whatever the parabolic.  So
+each search reads and writes one memo per (system, d), kept in the
+:func:`_search_data` record, of orbits known to need more than a budget
+and of orbits known to lie exactly so far from the sink; a later
+parabolic at the same d settles those orbits without expanding them.
+The witness shares the path order's memo.  Candidate roots come
 lazily from per-system step tables of bitsets (:func:`_system`), one
 lookup and one AND per coordinate: the usable set at d, less the roots
 the stabilizer moves, those that do not fit under the residual and those
@@ -324,29 +330,45 @@ def allowed_root_indices(rs: RootSystem, d: int) -> tuple:
 # shortest extremal-weight paths, one W_L-orbit at a time
 # ---------------------------------------------------------------------------
 
-def _depth_first(start, v0, budget, children, step, orbit, estimate, failed):
+def _depth_first(start, v0, budget, children, step, estimate, memo, orbit=None):
     """The stack ``[(state, v, left, untried), ...]`` of a walk from ``start``
     that clears the residual ``v0`` within ``budget``, or ``None``.
 
     It descends into the first of ``children(state, v, left)``, steps
-    ``(r, k)`` leading to ``step(state, v, r, k)``, whose cost plus estimate
-    fits the budget left and whose W_L-orbit ``orbit(child, v2)[0]`` is not
-    known in ``failed`` to need more; a state whose children run out is
-    backed up, its orbit and budget recorded there.  Steps lower the
-    residual's height, the estimator is admissible and distances are
-    W_L-invariant, so each record holds under any later budget.
+    ``(r, k)`` leading to ``step(state, v, r, k)``, that can still fit
+    the budget left.  The states are W_L-orbits, or with ``orbit`` single
+    weights whose orbit is ``orbit(child, v2)[0]``.  ``memo`` is
+    ``(failed, exact)``, keyed by orbit: a child whose orbit is in
+    ``exact`` is exactly that far from the sink, so it fits exactly when
+    r plus that distance does.  On orbits a fitting one ends the walk
+    there, its frame's residual not cleared and its ``untried`` ``None``;
+    a walk on weights descends into it, as it needs every weight of the
+    path.  Any other child fits when r plus its estimate does and
+    ``failed`` does not know its orbit to need more.  A state whose
+    children run out is backed up, its orbit and budget recorded in
+    ``failed``.  Steps lower the residual's height, the estimator is
+    admissible and distances are W_L-invariant, so each record holds
+    under any later budget.
     """
+    failed, exact = memo
     stack = [(start, v0, budget, children(start, v0, budget))]
     while any(stack[-1][1]):
         chi, v, left, todo = stack[-1]
         for r, k in todo:
             child, v2 = step(chi, v, r, k)
-            key, w = orbit(child, v2)
-            if r + estimate(w) <= left and failed.get(key, -1) < left - r:
-                stack.append((child, v2, left - r, children(child, v2, left - r)))
-                break
+            key, w = (child, v2) if orbit is None else orbit(child, v2)
+            if exact and (e := exact.get(key)) is not None:
+                if r + e > left:
+                    continue
+                if orbit is None:
+                    stack.append((child, v2, left - r, None))
+                    return stack
+            elif r + estimate(w) > left or failed and failed.get(key, -1) >= left - r:
+                continue
+            stack.append((child, v2, left - r, children(child, v2, left - r)))
+            break
         else:
-            failed[orbit(chi, v)[0]] = left
+            failed[chi if orbit is None else orbit(chi, v)[0]] = left
             stack.pop()
             if not stack:
                 return None
@@ -436,6 +458,8 @@ class _Search(namedtuple("_Search", [
     "step",      # the step between orbits
     "estimate",
     "canon",
+    "order",     # the path order's memo (failed, exact), shared with the witness
+    "lattice",   # the lattice bound's memo (failed, exact)
 ])):
     __slots__ = ()
 
@@ -456,6 +480,20 @@ def _search_data(rst: RootSystemType, d: int) -> _Search:
     the witness follows.  ``canon`` only raises v, and the estimator's
     epsilon part is W_L-invariant, so the estimator stays consistent on
     orbit steps.
+
+    ``order`` and ``lattice`` are the two searches' memos, each a pair of
+    dicts keyed by a Levi-dominant chi: ``failed`` maps an orbit to a
+    budget it needs more than, ``exact`` to its distance from the sink
+    (:func:`_depth_first`).  Both distances depend only on the orbit and
+    on d: the path order's sink is -omega_d and the lattice bound's is
+    the zero residual, whatever the parabolic, so a fact found at one
+    parabolic holds at every other and each later search at d starts
+    from them.  The witness walk reads and writes ``order`` too.  The
+    memos are dropped with this cached record; a cold ``verify_suite(20)``
+    leaves 10 264 exact and 54 failed facts in them, about 1.8 MB of
+    peak RSS.  Every fact stays true once recorded, so threads may share the
+    dicts under the interpreter lock: a race can lose a fact, never make
+    a wrong one.
     """
     rs = build(rst)
     system = _system(rst)
@@ -468,6 +506,8 @@ def _search_data(rst: RootSystemType, d: int) -> _Search:
         step=_make_step(rs, canon),
         estimate=system.estimate,
         canon=canon,
+        order=({}, {}),
+        lattice=({}, {}),
     )
 
 
@@ -479,20 +519,36 @@ def _estimator_bounds(rs: RootSystem):
     return theta, l1(theta) if l1 else 0
 
 
-def _deepen(search, moves, chi, v, config, missing: str) -> int:
+def _deepen(search, moves, memo, chi, v, config, missing: str) -> int:
     """The least budget within which a :func:`_depth_first` walk of ``moves``
-    from ``(chi, v)`` clears v, by iterative deepening under one memo.
+    from ``(chi, v)`` clears v, by iterative deepening under ``memo``.
 
-    The budget rises by one from the start's estimate; the estimate is
-    admissible and every step lowers the residual's height, so the first
-    budget that a walk fits in is the distance.  ``config``, the
-    ``(system, parabolic, d)`` searched, and ``missing`` name the search
-    in the error raised when none fits under the ceiling ht(v); only that
-    error formats them.
+    An orbit ``memo`` knows the distance of is settled at once.  Otherwise
+    the budget rises by one from the start's estimate, or from one past a
+    budget the start is known to need more than, whichever is larger; both
+    are lower bounds and every step lowers the residual's height, so the
+    first budget B that a walk fits in is the distance.  That walk then
+    costs exactly B, so each of its frames, a Levi-dominant orbit, lies
+    exactly the budget left there from the sink (a shorter tail would
+    give a cheaper walk), and goes into the memo as exact, all but the
+    last, which is the sink or an orbit the memo already knows.  A search
+    of one parabolic reads none of them back, so it pays only for these
+    stores and for the emptiness tests that guard each lookup.  ``config``,
+    the ``(system, parabolic, d)`` searched, and ``missing`` name the
+    search in the error raised when none fits under the ceiling ht(v);
+    only that error formats them.
     """
-    failed = {}
-    for bound in range(search.estimate(v), sum(v) + 1):
-        if _depth_first(chi, v, bound, moves, search.step, _same, search.estimate, failed):
+    failed, exact = memo
+    if exact and (e := exact.get(chi)) is not None:
+        return e
+    low = search.estimate(v)
+    if failed:
+        low = max(low, failed.get(chi, -1) + 1)
+    for bound in range(low, sum(v) + 1):
+        if stack := _depth_first(chi, v, bound, moves, search.step, search.estimate, memo):
+            stack.pop()  # the sink, or an orbit the memo already knows
+            for key, _, left, _ in stack:
+                exact[key] = left
             return bound
     rst, parab, d = config
     raise InternalInconsistencyError(
@@ -505,7 +561,7 @@ def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int) -> int:
     # with ht(beta) >= 1, so m <= ht(v), the ceiling of the deepening.
     search = _search_data(rst, d)
     tw, source, _ = _target_cached(rst, parab, d)
-    return _deepen(search, search.ladder, *search.canon(source, tw.root_coords),
+    return _deepen(search, search.ladder, search.order, *search.canon(source, tw.root_coords),
                    (rst, parab, d), "path order: no path")
 
 
@@ -525,6 +581,13 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int):
     Steps lower the residual's height, the estimator is admissible and
     distances are W_L-invariant, so the first path to reach the sink is
     the lexicographically first cheapest one, reproducible run to run.
+    The walk reads and writes the path order's memo at d
+    (:func:`_search_data`): an orbit known to be too far is skipped and
+    one known to fit is entered without its estimate.  Every fact is
+    true, so the memo decides only how soon a child that cannot fit is
+    dropped, never which path comes first.  The budget m is the
+    distance, so the orbit of every node on the path lies exactly the
+    budget left there from the sink, and is recorded so.
     """
     rs._check_index(d)
     m = _dijkstra_cached(rs.rst, parabolic, d)
@@ -537,11 +600,14 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int):
             funds[e[1]] if e[0] == 1 else tuple([e[0] * x for x in funds[e[1]]]))))
 
     tw, source, _ = _target_cached(rs.rst, parabolic, d)
-    stack = _depth_first(source, tw.root_coords, m, children, _make_step(rs, _same), search.canon,
-                         search.estimate, {})
+    stack = _depth_first(source, tw.root_coords, m, children, _make_step(rs, _same),
+                         search.estimate, search.order, search.canon)
     if stack is None:
         raise InternalInconsistencyError(
             f"{rs.rst} P={sorted(parabolic.omitted)} d={d}: witness: no path within budget {m}")
+    exact = search.order[1]
+    for chi, v, left, _ in stack:
+        exact[search.canon(chi, v)[0]] = left
     steps = tuple((tuple((a - b) // (g - h) for a, b in zip(v, v2)), g - h)
                   for (_, v, g, _), (_, v2, h, _) in zip(stack, stack[1:]))
     return m, steps, tuple(f[0] for f in stack)
@@ -560,8 +626,8 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int) -> int:
     # which the cheapest ladder, itself a decomposition, fits in.
     search = _search_data(rst, d)
     tw = _target_cached(rst, parab, d)[0]
-    return _deepen(search, search.subtract, *search.canon(tw.value, tw.root_coords),
-                   (rst, parab, d), "lattice: no decomposition")
+    return _deepen(search, search.subtract, search.lattice,
+                   *search.canon(tw.value, tw.root_coords), (rst, parab, d), "lattice: no decomposition")
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int:
@@ -644,12 +710,14 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
     sequential ladder, the order-sensitive variant that is what
     realizability actually needs; (d) the total cost equals the path
     oracle and the distinguished coefficient where defined.  Membership
-    preconditions (positive roots outside the Levi at d) are reported
-    separately.  Clause (b) compares each unordered pair of distinct
-    roots once, in order of first appearance, so a root repeated in the
-    entries adds no pairs; it lists at most :data:`MAX_PAIR_FAILURES`
-    non-orthogonal pairs, and (c) and each membership check as many
-    failing entries, each list then one line saying it was cut.
+    preconditions (positive roots outside the Levi at d, each with a
+    plain ``int`` multiplicity of at least 1, so ``True`` and ``1.0``
+    fail) are reported separately.  Clause (b) compares each unordered
+    pair of distinct roots once, in order of first appearance, so a root
+    repeated in the entries adds no pairs; it lists at most
+    :data:`MAX_PAIR_FAILURES` non-orthogonal pairs, and (c) and each
+    membership check as many failing entries, each list then one line
+    saying it was cut.
 
     With ``strict=False`` clauses (b) and (c), which only the ``strict``
     verdict reads, are skipped: ``orthogonal`` and ``ladder_uniform``
@@ -684,7 +752,10 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
     outside = True
     ks = []
     for c, n in entries:
-        if n < 1:
+        if type(n) is not int:
+            roots_ok = False
+            fail("multiplicity not an integer:", f"multiplicity {n!r} is not an integer for {c}")
+        elif n < 1:
             roots_ok = False
             fail("multiplicity < 1:", f"multiplicity {n} < 1 for {c}")
         k = rs._root_index.get(tuple(c))

@@ -519,6 +519,29 @@ def test_root_coordinates_of_any_integer_size_accepted():
     assert not rep.roots_ok and not rep.valid
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0], ids=repr)
+def test_multiplicity_that_is_not_an_int_fails_membership(bad):
+    # A Certificate built in Python skips the parser's type checks; True
+    # and 1.0 pair and sum like 1, so without this check the tuple was valid.
+    rs, parab = build("E7"), P(7, 7)
+    cert = catalog_certificate(rs, parab, 4)
+    (c, n), *rest = cert.entries
+    assert n == 1 and check_certificate(rs, cert).valid
+    rep = check_certificate(rs, cert._replace(entries=((c, bad), *rest)))
+    assert not rep.roots_ok and not rep.valid
+    assert f"multiplicity {bad!r} is not an integer for {c}" in rep.failures
+
+
+def test_multiplicities_that_are_not_ints_are_listed_under_the_cap():
+    from weylpath.vanishing import MAX_PAIR_FAILURES
+
+    rs = build("C40")
+    rep = check_certificate(rs, Certificate(rs.rst, 1, 1, tuple((c, 1.0) for c in rs.positive_roots)))
+    lines = [f for f in rep.failures if f.startswith("multiplicity")]
+    assert len(lines) == MAX_PAIR_FAILURES + 1
+    assert lines[-1] == f"multiplicity not an integer: list cut after {MAX_PAIR_FAILURES} entries"
+
+
 def test_repeated_non_orthogonal_pair_reported_once():
     rs = build("A2")
     a1, a2 = rs.simple_root(1), rs.simple_root(2)

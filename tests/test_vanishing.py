@@ -13,7 +13,7 @@ from weylpath import (
     lattice_lower_bound, longest_element, shortest_path, source_weight,
     target_weight, vanishing_result, verify, verify_suite, weyl_involution,
 )
-from weylpath import vanishing
+from weylpath import certificates, vanishing
 from weylpath.certificates import (
     best_certificate, catalog_certificate, epsilon_to_root, greedy_certificate, path_certificate,
 )
@@ -615,9 +615,10 @@ def test_estimator_is_consistent_and_below_lattice(label, p, every_root):
 
 def test_lattice_dives_one_child_per_unit_on_e8(monkeypatch):
     # Unit steps come lowest root first: in every E8 cell the lattice
-    # search's first budget fits and its dive never backs up, so it makes
-    # one depth-first call and tries one child per unit of the bound.
-    clear_caches()
+    # search's first budget fits and its cold dive never backs up, so it
+    # makes one depth-first call and tries one child per unit of the
+    # bound.  With the facts of earlier parabolics kept at each d, a dive
+    # settles on the first orbit it knows, so it tries at most as many.
     rs = build("E8")
     tries = []
     walk = vanishing._depth_first
@@ -632,11 +633,128 @@ def test_lattice_dives_one_child_per_unit_on_e8(monkeypatch):
         return walk(start, v0, budget, children, counted_step, *rest)
 
     monkeypatch.setattr(vanishing, "_depth_first", counted)
+    cold = 0
     for p in range(1, 9):
+        clear_caches()
         for d in range(1, 9):
             m = lattice_lower_bound(rs, P(8, p), d)
             assert tries == [m], (p, d)
+            cold += m
             tries.clear()
+    clear_caches()
+    warm = 0
+    for p in range(1, 9):
+        for d in range(1, 9):
+            m = lattice_lower_bound(rs, P(8, p), d)
+            assert len(tries) <= 1 and sum(tries) <= m, (p, d, tries)
+            warm += sum(tries)
+            tries.clear()
+    assert warm < cold
+
+
+MEMO_LABELS = ([f"A{n}" for n in range(1, 9)] + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+               + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", MEMO_LABELS)
+def test_profiles_do_not_depend_on_the_order_of_parabolics(label):
+    # The memos at d are shared by every parabolic of the system: the order
+    # and lattice profiles found warm, in three seeded orders of the
+    # parabolics, are those found cold, one parabolic at a time.
+    rs = build(label)
+    parabolics = list(range(1, rs.rank + 1))
+
+    def profile(p):
+        return [(dijkstra_order(rs, P(rs.rank, p), d), lattice_lower_bound(rs, P(rs.rank, p), d))
+                for d in range(1, rs.rank + 1)]
+
+    cold = {}
+    for p in parabolics:
+        clear_caches()
+        cold[p] = profile(p)
+    for seed in range(3):
+        random.Random(f"memo order {label} {seed}").shuffle(parabolics)
+        clear_caches()
+        assert {p: profile(p) for p in parabolics} == cold, (label, parabolics)
+    clear_caches()
+
+
+def test_memo_facts_match_cold_searches():
+    # Every fact a sweep and some witness walks leave in the memos is true:
+    # an exact distance equals a cold deepening from its orbit, and a
+    # failed budget lies below it, or the orbit cannot reach the sink at
+    # all (a lattice residual with no decomposition into usable roots).
+    # The order's states carry the residual of chi + omega_d, the
+    # lattice's that of chi itself.
+    clear_caches()
+    systems = sorted({(rep.family, rep.rank) for rep in verify_suite(8).reports})
+    for config in (("E", 6, 4), ("B", 6, 6), ("D", 6, 3)):
+        verify(*config, with_witnesses=True)
+    counts = {"exact": 0, "failed": 0}
+    for family, rank in systems:
+        rs = build(family, rank)
+        for d in range(1, rank + 1):
+            search = _search_data(rs.rst, d)
+            for memo, moves, shift in ((search.order, search.ladder, 1),
+                                       (search.lattice, search.subtract, 0)):
+                failed, exact = memo
+                for chi in {**failed, **exact}:
+                    weight = [*chi]
+                    weight[d - 1] += shift
+                    v = tuple(map(int, rs.to_root_basis(weight)))
+                    try:
+                        distance = vanishing._deepen(search, moves, ({}, {}), chi, v,
+                                                     (rs.rst, P(rank, d), d), "cold")
+                    except InternalInconsistencyError:  # no walk under ht(v) reaches the sink
+                        distance = float("inf")
+                    if chi in exact:
+                        assert exact[chi] == distance, (family, rank, d, chi)
+                        counts["exact"] += 1
+                    if chi in failed:
+                        assert failed[chi] < distance, (family, rank, d, chi)
+                        counts["failed"] += 1
+    assert min(counts.values()) > 0, counts
+    clear_caches()
+
+
+class _Sealed:
+    """A memo dict that fails the test on any use."""
+
+    def _read(self, *args):
+        raise AssertionError("the path order's memo was read")
+
+    __bool__ = __len__ = __contains__ = __getitem__ = __setitem__ = __iter__ = _read
+
+    def __getattr__(self, name):
+        self._read()
+
+
+def test_lattice_greedy_and_check_never_read_the_order_memo(monkeypatch):
+    # With the path orders warm and the order memo sealed, the lattice
+    # search, the greedy walk and the checker still run: none of them
+    # reads another route's facts.  A cold path order does read it.
+    rs = build("E7")
+    parabolics = (P(7, 4), P(7, 7))  # greedy rows, catalog rows
+    for parab in parabolics:
+        for d in range(1, 8):
+            dijkstra_order(rs, parab, d)
+    search_data = vanishing._search_data
+
+    def sealed(rst, d):
+        return search_data(rst, d)._replace(order=(_Sealed(), _Sealed()))
+
+    monkeypatch.setattr(vanishing, "_search_data", sealed)
+    monkeypatch.setattr(certificates, "_search_data", sealed)
+    vanishing._lattice_cached.cache_clear()
+    for parab in parabolics:
+        for d in range(1, 8):
+            lattice_lower_bound(rs, parab, d)
+            assert check_certificate(rs, greedy_certificate(rs, parab, d)).valid, (parab, d)
+            assert check_certificate(rs, best_certificate(rs, parab, d)).valid, (parab, d)
+    vanishing._dijkstra_cached.cache_clear()
+    with pytest.raises(AssertionError, match="memo was read"):
+        dijkstra_order(rs, parabolics[0], 1)
+    clear_caches()
 
 
 def test_order_is_at_most_the_start_residual_height():
@@ -1126,7 +1244,10 @@ def _reference_check(rs, cert):
     failures = []
     roots_ok = outside = True
     for c, n in cert.entries:
-        if n < 1:
+        if type(n) is not int:
+            roots_ok = False
+            failures.append(f"multiplicity {n!r} is not an integer for {c}")
+        elif n < 1:
             roots_ok = False
             failures.append(f"multiplicity {n} < 1 for {c}")
         if not rs.is_positive_root(c):
