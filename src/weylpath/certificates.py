@@ -19,12 +19,17 @@ else, the odd orthogonal spin configurations included,
 ladder, with no search.  :func:`path_certificate` extracts one from the
 canonical cheapest path; only the witnesses (``verify --witnesses``)
 walk that path.
+
+Certificate files, the reports of :mod:`weylpath.verify` and the CLI's
+``check-cert --format json`` payload are written by :func:`_dumps`,
+which returns ``json.dumps(value, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, _coords_from_eps,
@@ -234,7 +239,7 @@ def greedy_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certific
     """
     rs._check_parabolic(parabolic)
     rs._check_index(d)
-    tw, chi, _ = _target_cached(rs.rst, parabolic, d)
+    tw, chi, _, _ = _target_cached(rs.rst, parabolic, d)
     walk, step, roots = _search_data(rs.rst, d).walk, _make_step(rs, _same), rs.positive_roots
     v, entries = tw.root_coords, []
     while any(v) and (first := next(walk(chi, v, sum(v)), None)):
@@ -348,10 +353,55 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise RootSystemError(f"malformed certificate data: {exc}") from exc
 
 
+# The writers of the scalars that json.dumps(..., indent=2) writes, by exact
+# type, and the stdlib encoder that json.dumps(..., indent=2) builds.
+_INDENTED = json.JSONEncoder(indent=2).encode
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value whose
+    lines are indented by ``pad``.
+
+    With an indent, json.dumps never reaches the C encoder under Python
+    3.10 and 3.11: its pure-Python encoder passes every chunk up through
+    one generator per level of nesting.  Here each non-empty list, tuple
+    or dict with ``str`` keys is one ``join`` of its items, and a scalar
+    of an exact type in ``_SCALARS`` is written by its entry there, as
+    the stdlib writes it.  Everything else (a float, an empty container,
+    a subclass, a key that is not a ``str``, an unknown type) goes to the
+    stdlib's encoder, its lines shifted by ``pad``, which is how json.dumps
+    writes that value at this depth; an error is the stdlib's.
+    Only a container that holds itself differs: it recurses until
+    RecursionError instead of raising ValueError.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner, scalar = pad + "  ", _SCALARS.get
+    if isinstance(value, (list, tuple)) and value:
+        items = [w(v) if (w := scalar(type(v))) else _dumps(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict) and value:
+        try:
+            items = [f"{encode_basestring_ascii(k)}: "
+                     f"{w(v) if (w := scalar(type(v))) else _dumps(v, inner)}"
+                     for k, v in value.items()]
+        except TypeError:  # a key that is not a str, or an error the stdlib repeats
+            pass
+        else:
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return _INDENTED(value).replace("\n", "\n" + pad)
+
+
 def dump_certificate(cert: Certificate, path) -> None:
     with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=2)
-        fh.write("\n")
+        fh.write(_dumps(certificate_to_dict(cert)) + "\n")
 
 
 def load_certificate(path) -> Certificate:

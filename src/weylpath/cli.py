@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .certificates import load_certificate
+from .certificates import _dumps, load_certificate
 from .rootsystem import Parabolic, RootSystemError, build
 from .vanishing import InternalInconsistencyError, check_certificate
 from .verify import (
@@ -139,7 +139,7 @@ def _cmd_check_cert(args) -> int:
             "strict": rep.strict,
             "failures": list(rep.failures),
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(f"certificate for {cert.rst.label}/P{cert.omitted}, d={cert.d}, "
               f"cost {rep.cost}")

@@ -270,9 +270,14 @@ def _system(rst: RootSystemType) -> _System:
 
 @lru_cache(maxsize=None)
 def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
-    """Per d, the target ``TargetWeight``, the source tau(-w0(omega_d)) and
+    """Per d, the target ``TargetWeight``, the source tau(-w0(omega_d)),
     c_alpha, the target's coefficient at the parabolic's distinguished
-    index (:func:`distinguished_index`), or ``None`` where it has none.
+    index (:func:`distinguished_index`) or ``None`` where it has none, and
+    the path order's start ``canon(source, target)``, the Levi-dominant
+    point of :func:`_search_data` at d.  W_{L_d} fixes omega_d and ``canon``
+    reads only Levi coordinates, so the same reflections take the target
+    weight, the source plus omega_d, to that start plus 1 at d: the
+    lattice bound's start.
 
     With lam_d = -w0(omega_d) = omega_{sigma(d)} = -omega_d + b_d, raising
     -lam_d over the Levi gives -tau(lam_d) = -lam_d + c_d, so the target
@@ -298,13 +303,14 @@ def _targets(rst: RootSystemType, parab: Parabolic) -> tuple:
                 f"{where} d={d}: target has coordinates {root_coords}, expected nonnegative integers")
         value = (*source[:d - 1], source[d - 1] + 1, *source[d:])
         out.append((TargetWeight(d=d, value=value, root_coords=root_coords), source,
-                    None if alpha is None else root_coords[alpha - 1]))
+                    None if alpha is None else root_coords[alpha - 1],
+                    _search_data(rst, d).canon(source, root_coords)))
     return tuple(out)
 
 
 def _target_cached(rst: RootSystemType, parab: Parabolic, d: int):
-    """``(target, source, c_alpha)`` at d, read from the cached record of
-    :func:`_targets`; ``d`` is a checked index."""
+    """``(target, source, c_alpha, start)`` at d, read from the cached
+    record of :func:`_targets`; ``d`` is a checked index."""
     return _targets(rst, parab)[d - 1]
 
 
@@ -343,7 +349,10 @@ def _depth_first(start, v0, budget, children, step, estimate, memo, orbit=None):
     r plus that distance does.  On orbits a fitting one ends the walk
     there, its frame's residual not cleared and its ``untried`` ``None``;
     a walk on weights descends into it, as it needs every weight of the
-    path.  Any other child fits when r plus its estimate does and
+    path.  The sink, a child whose residual is zero, always fits: every
+    step has r <= slack = left.  Its frame ends the walk at once, with
+    ``untried`` ``None`` and neither its key nor its estimate computed.
+    Any other child fits when r plus its estimate does and
     ``failed`` does not know its orbit to need more.  A state whose
     children run out is backed up, its orbit and budget recorded in
     ``failed``.  Steps lower the residual's height, the estimator is
@@ -356,6 +365,9 @@ def _depth_first(start, v0, budget, children, step, estimate, memo, orbit=None):
         chi, v, left, todo = stack[-1]
         for r, k in todo:
             child, v2 = step(chi, v, r, k)
+            if not any(v2):
+                stack.append((child, v2, left - r, None))
+                return stack
             key, w = (child, v2) if orbit is None else orbit(child, v2)
             if exact and (e := exact.get(key)) is not None:
                 if r + e > left:
@@ -560,8 +572,7 @@ def _dijkstra_cached(rst: RootSystemType, parab: Parabolic, d: int) -> int:
     # The ladder on orbits, deepened: a step of cost r subtracts r*beta
     # with ht(beta) >= 1, so m <= ht(v), the ceiling of the deepening.
     search = _search_data(rst, d)
-    tw, source, _ = _target_cached(rst, parab, d)
-    return _deepen(search, search.ladder, search.order, *search.canon(source, tw.root_coords),
+    return _deepen(search, search.ladder, search.order, *_target_cached(rst, parab, d)[3],
                    (rst, parab, d), "path order: no path")
 
 
@@ -599,7 +610,7 @@ def shortest_path(rs: RootSystem, parabolic: Parabolic, d: int):
         return iter(sorted(search.walk(chi, v, left), reverse=True, key=lambda e: (
             funds[e[1]] if e[0] == 1 else tuple([e[0] * x for x in funds[e[1]]]))))
 
-    tw, source, _ = _target_cached(rs.rst, parabolic, d)
+    tw, source, _, _ = _target_cached(rs.rst, parabolic, d)
     stack = _depth_first(source, tw.root_coords, m, children, _make_step(rs, _same),
                          search.estimate, search.order, search.canon)
     if stack is None:
@@ -623,11 +634,13 @@ def _lattice_cached(rst: RootSystemType, parab: Parabolic, d: int) -> int:
     # residuals below the target, with their own weights as chi, and each
     # edge subtracts one usable root at unit cost; no ladder constraint.
     # Deepened from the start's estimate, usually exact, up to ht(v0),
-    # which the cheapest ladder, itself a decomposition, fits in.
+    # which the cheapest ladder, itself a decomposition, fits in.  The
+    # start is the path order's plus omega_d (see :func:`_targets`).
     search = _search_data(rst, d)
-    tw = _target_cached(rst, parab, d)[0]
-    return _deepen(search, search.subtract, search.lattice,
-                   *search.canon(tw.value, tw.root_coords), (rst, parab, d), "lattice: no decomposition")
+    chi, v = _target_cached(rst, parab, d)[3]
+    chi = (*chi[:d - 1], chi[d - 1] + 1, *chi[d:])
+    return _deepen(search, search.subtract, search.lattice, chi, v, (rst, parab, d),
+                   "lattice: no decomposition")
 
 
 def lattice_lower_bound(rs: RootSystem, parabolic: Parabolic, d: int) -> int:
@@ -710,14 +723,15 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
     sequential ladder, the order-sensitive variant that is what
     realizability actually needs; (d) the total cost equals the path
     oracle and the distinguished coefficient where defined.  Membership
-    preconditions (positive roots outside the Levi at d, each with a
-    plain ``int`` multiplicity of at least 1, so ``True`` and ``1.0``
-    fail) are reported separately.  Clause (b) compares each unordered
-    pair of distinct roots once, in order of first appearance, so a root
-    repeated in the entries adds no pairs; it lists at most
-    :data:`MAX_PAIR_FAILURES` non-orthogonal pairs, and (c) and each
-    membership check as many failing entries, each list then one line
-    saying it was cut.
+    preconditions (positive roots outside the Levi at d, each given as a
+    ``tuple`` of rank plain ``int`` coordinates with a plain ``int``
+    multiplicity of at least 1, so a list, ``True`` and ``1.0`` are no
+    root and no multiplicity) are reported separately.  Clause (b)
+    compares each unordered pair of distinct roots once, in order of
+    first appearance, so a root repeated in the entries adds no pairs; it
+    lists at most :data:`MAX_PAIR_FAILURES` non-orthogonal pairs, and (c)
+    and each membership check as many failing entries, each list then one
+    line saying it was cut.
 
     With ``strict=False`` clauses (b) and (c), which only the ``strict``
     verdict reads, are skipped: ``orthogonal`` and ``ladder_uniform``
@@ -734,7 +748,7 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
     parab = _maximal_at(rs.rank, cert.omitted)[0]
     d = cert.d
     rs._check_index(d)
-    tw, chi0, ca = _target_cached(rs.rst, parab, d)
+    tw, chi0, ca, _ = _target_cached(rs.rst, parab, d)
     target, sink = tw.root_coords, _maximal_at(rs.rank, d)[1]
     entries = cert.entries
     coroots, funds = rs._coroots, rs._fund_coords
@@ -750,7 +764,9 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
 
     roots_ok = True
     outside = True
-    ks = []
+    shaped = True  # every entry has rank coordinates, which clause (a) needs
+    index, rank, ks = rs._root_index, rs.rank, []
+    ints = [int] * rank  # the types of a root's coordinates
     for c, n in entries:
         if type(n) is not int:
             roots_ok = False
@@ -758,22 +774,27 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
         elif n < 1:
             roots_ok = False
             fail("multiplicity < 1:", f"multiplicity {n} < 1 for {c}")
-        k = rs._root_index.get(tuple(c))
-        ks.append(k)
+        # Only rank plain ints are looked up: a list, or a bool or float
+        # equal to an int, would find a root's index.
+        if type(c) is tuple and [*map(type, c)] == ints:
+            k = index.get(c)
+        else:
+            k = None
+            shaped = shaped and len(c) == rank
         if k is None:
             roots_ok = False
             fail("not a positive root:", f"{c} is not a positive root")
         elif c[d - 1] < 1:
             outside = False
             fail(f"in the Levi at index {d}:", f"{c} lies in the Levi at index {d}")
+        ks.append(k)
 
     # One list stepped in place: a short entry shortens it, as zip would.
-    total = [0] * rs.rank
+    total = [0] * rank
     for c, n in entries:
         total[:] = map(add, total, c if n == 1 else [n * x for x in c])
     total = tuple(total)
-    sum_matches = (total == target
-                   and all(len(c) == rs.rank for c, _ in entries))
+    sum_matches = shaped and total == target
     if not sum_matches:
         failures.append(f"(a) sum {total} != target {target}")
 

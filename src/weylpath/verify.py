@@ -25,6 +25,12 @@ The reports :class:`VerificationReport` and :class:`SuiteReport` are
 immutable named tuples, like the records of :mod:`weylpath.vanishing`:
 beside their named fields they index, unpack, hash by value and compare
 equal to a plain tuple of the same values.
+
+:func:`report_to_json` and :func:`suite_to_json` write indent-2 JSON
+through ``certificates._dumps``, one ``join`` per container.  Its output
+is byte-identical to ``json.dumps(..., indent=2)``, whose pure-Python
+encoder (the C one takes no indent) cost about a tenth of a cold
+``verify-all``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import json
 import sys
 from collections import namedtuple
 
-from .certificates import _catalog_covers, best_certificate
+from .certificates import _catalog_covers, _dumps, best_certificate
 from .rootsystem import _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, build
 from .vanishing import (
     VanishingResult, _system, check_certificate, shortest_path, vanishing_result,
@@ -166,7 +172,7 @@ def report_from_dict(data: dict) -> VerificationReport:
 
 
 def report_to_json(rep: VerificationReport) -> str:
-    return json.dumps(report_to_dict(rep), indent=2)
+    return _dumps(report_to_dict(rep))
 
 
 def report_from_json(text: str) -> VerificationReport:
@@ -307,7 +313,7 @@ def suite_to_dict(suite: SuiteReport) -> dict:
 
 
 def suite_to_json(suite: SuiteReport) -> str:
-    return json.dumps(suite_to_dict(suite), indent=2)
+    return _dumps(suite_to_dict(suite))
 
 
 # The package's loaded modules at the last scan, and the caches found in them.

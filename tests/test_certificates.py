@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,69 @@ def test_certificate_file_round_trip(tmp_path):
     assert check_certificate(rs, back).valid
 
 
+# -- the indent-2 JSON writer ---------------------------------------------------
+
+class _Pair(namedtuple("_Pair", "left right")):
+    __slots__ = ()
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_STRINGS = ["", "plain", "café ω – \U0001f600", 'quote " back \\ slash',
+            "\n\r\t\b\f\x00\x1f\x7f", "\ud800", "</script>"]
+_SCALAR_VALUES = [None, True, False, 0, -1, 7, 10 ** 40, -(2 ** 70), _Int(3), _Str("sub"),
+                  0.0, -0.0, 1.5, 1e300, 1e-300, float("nan"), float("inf"), float("-inf")]
+_KEYS = _STRINGS + [0, -3, 2 ** 65, 1.25, True, False, None]
+
+
+def _nested_value(rng, depth):
+    """A random JSON-writable value, containers up to ``depth`` levels deep."""
+    kind = rng.randrange(8 if depth else 2)
+    if kind == 0:
+        return rng.choice(_SCALAR_VALUES)
+    if kind == 1:
+        return rng.choice(_STRINGS)
+    size = rng.randrange(4)
+    items = [_nested_value(rng, depth - 1) for _ in range(size)]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    if kind == 4:
+        return _Pair(_nested_value(rng, depth - 1), _nested_value(rng, depth - 1))
+    if kind == 5:
+        return {rng.choice(_STRINGS): item for item in items}
+    if kind == 6:  # keys of every kind json.dumps converts
+        return {rng.choice(_KEYS): item for item in items}
+    return [[[item]] for item in items]
+
+
+def test_dumps_is_json_dumps_with_indent_2():
+    rng = random.Random(29)
+    values = [_nested_value(rng, rng.randrange(7)) for _ in range(3000)]
+    deep = "leaf"
+    for level in range(60):
+        deep = [deep] if level % 2 else {"k": deep, "e": [], "d": {}}
+    values += [deep, [], {}, (), [[]], {"a": {}}, _SCALAR_VALUES, _STRINGS, {k: 1 for k in _KEYS}]
+    for value in values:
+        assert certificates._dumps(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize("value", [{"a": [1, object()]}, [{"b": {1j}}], {(1, 2): 0}],
+                         ids=["object", "set", "tuple-key"])
+def test_dumps_raises_as_json_dumps_does(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        certificates._dumps(value)
+
+
 def test_malformed_certificate_data_rejected():
     with pytest.raises(RootSystemError):
         certificate_from_dict({"family": "D", "rank": 5})
@@ -540,6 +604,58 @@ def test_multiplicities_that_are_not_ints_are_listed_under_the_cap():
     lines = [f for f in rep.failures if f.startswith("multiplicity")]
     assert len(lines) == MAX_PAIR_FAILURES + 1
     assert lines[-1] == f"multiplicity not an integer: list cut after {MAX_PAIR_FAILURES} entries"
+
+
+@pytest.mark.parametrize("change", [lambda c: tuple(map(float, c)), list,
+                                    lambda c: tuple(True if x == 1 else x for x in c)],
+                         ids=["floats", "list", "true"])
+def test_root_coordinates_that_are_not_a_tuple_of_ints_fail_membership(change):
+    # Each of these finds the root's index by equality, so before the check
+    # the E7/P7 tuple came back valid at cost 6.
+    rs, parab = build("E7"), P(7, 7)
+    cert = catalog_certificate(rs, parab, 4)
+    (c, n), *rest = cert.entries
+    bad = change(c)
+    assert bad == c or bad == list(c)
+    for strict in (True, False):
+        rep = check_certificate(rs, cert._replace(entries=((bad, n), *rest)), strict=strict)
+        assert not rep.roots_ok and not rep.valid and rep.cost == 6
+        assert f"{bad} is not a positive root" in rep.failures
+
+
+def test_root_coordinates_that_are_not_ints_are_listed_under_the_cap():
+    from weylpath.vanishing import MAX_PAIR_FAILURES
+
+    rs = build("C40")
+    rep = check_certificate(rs, Certificate(rs.rst, 1, 1, tuple((list(c), 1) for c in rs.positive_roots)))
+    lines = [f for f in rep.failures if "positive root" in f]
+    assert len(lines) == MAX_PAIR_FAILURES + 1
+    assert lines[0] == f"{list(rs.positive_roots[0])} is not a positive root"
+    assert lines[-1] == f"not a positive root: list cut after {MAX_PAIR_FAILURES} entries"
+
+
+def test_no_mutation_of_a_python_certificate_is_valid():
+    # Every kind the certs workload makes, applied to certificates built
+    # without the parser: each is rejected or judged not valid.
+    workloads = _bench_workloads()
+    rng = random.Random(29)
+    bases = [catalog_certificate(build("E7"), P(7, 7), 4),
+             catalog_certificate(build("E6"), P(6, 1), 5),
+             catalog_certificate(build("A6"), P(6, 3), 3),
+             catalog_certificate(build("C5"), P(5, 5), 3),
+             path_certificate(build("B5"), P(5, 5), 5),
+             greedy_certificate(build("D6"), P(6, 3), 4),
+             greedy_certificate(build("F4"), P(4, 2), 3)]
+    for kind in workloads.MUTATIONS:
+        for base in bases:
+            for _ in range(4):
+                cert = _mutated(workloads, kind, base, rng)
+                for strict in (True, False):
+                    try:
+                        rep = check_certificate(build(cert.rst), cert, strict=strict)
+                    except RootSystemError:
+                        continue
+                    assert not rep.valid, (kind, cert)
 
 
 def test_repeated_non_orthogonal_pair_reported_once():

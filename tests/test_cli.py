@@ -1,6 +1,11 @@
 import json
 
-from weylpath import Parabolic, build, catalog_certificate, dump_certificate
+import pytest
+
+from weylpath import (
+    Parabolic, build, catalog_certificate, certificate_to_dict, dump_certificate,
+    greedy_certificate,
+)
 from weylpath.cli import main
 from weylpath.vanishing import Certificate
 
@@ -144,6 +149,21 @@ def test_check_cert_bad(tmp_path, capsys):
     assert [data[key] for key in CHECK_CERT_KEYS[7:16]] == [
         True, False, False, True, False, False, True, False, False]
     assert data["failures"] == [line.removeprefix("  ! ") for line in err.splitlines()]
+
+
+@pytest.mark.parametrize("label,p,d", [("E7", 7, 7), ("D5", 1, 2), ("B5", 5, 5)])
+def test_check_cert_json_and_certificate_files_are_json_dumps(tmp_path, capsys, label, p, d):
+    # Both are written by certificates._dumps; they keep json.dumps's indent-2
+    # bytes.  The payload holds only str, int, bool, None and lists, so it
+    # reads back to the value that was written.
+    rs = build(label)
+    cert = greedy_certificate(rs, Parabolic.maximal(rs.rank, p), d)
+    for cert in (cert, cert._replace(entries=cert.entries[1:])):
+        path = tmp_path / "cert.json"
+        dump_certificate(cert, path)
+        assert path.read_text() == json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+        _, out, _ = run(capsys, "check-cert", str(path), "--format", "json")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_bad_configuration_is_usage_error(capsys):

@@ -773,6 +773,37 @@ def test_order_is_at_most_the_start_residual_height():
                 assert dijkstra_order(rs, parab, d) <= sum(T) <= sum(start[1]), (label, p, d)
 
 
+@pytest.mark.parametrize("label", TARGET_LABELS)
+def test_stored_start_is_both_searches_canonical_start(label):
+    # The target record keeps the path order's start under W_{L_d}.  W_{L_d}
+    # fixes omega_d and canon reads only Levi coordinates, so the same start
+    # plus e_d is the canonical point of the target weight, where the
+    # lattice bound starts.
+    rs = build(label)
+    n = rs.rank
+    for p in range(1, n + 1):
+        for d, (tw, source, _, (chi, v)) in enumerate(vanishing._targets(rs.rst, P(n, p)), start=1):
+            canon = _search_data(rs.rst, d).canon
+            assert (chi, v) == canon(source, tw.root_coords), (label, p, d)
+            lifted = (*chi[:d - 1], chi[d - 1] + 1, *chi[d:])
+            assert (lifted, v) == canon(tw.value, tw.root_coords), (label, p, d)
+
+
+def test_a_one_step_search_estimates_only_its_start():
+    # A1/P1 at d = 1: the target is alpha_1, one step from the sink.  The
+    # sink is entered without an estimate, so each search takes one, at
+    # its start.
+    rs, parab = build("A1"), P(1, 1)
+    search = _search_data(rs.rst, 1)
+    calls = []
+    counted = search._replace(estimate=lambda v: calls.append(v) or search.estimate(v))
+    tw, _, _, (chi, v) = vanishing._targets(rs.rst, parab)[0]
+    for moves, start in ((counted.ladder, chi), (counted.subtract, (chi[0] + 1,))):
+        calls.clear()
+        assert vanishing._deepen(counted, moves, ({}, {}), start, v, (rs.rst, parab, 1), "") == 1
+        assert calls == [v] == [tw.root_coords]
+
+
 ESTIMATOR_LABELS = (
     [f"A{n}" for n in range(1, 21)]
     + [f"B{n}" for n in range(2, 21)]

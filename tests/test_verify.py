@@ -268,6 +268,26 @@ def test_suite_json_is_pinned(max_rank):
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256[max_rank]
 
 
+# The reports are written by certificates._dumps, not by json.dumps(..., indent=2),
+# and must keep its bytes.
+
+@pytest.mark.parametrize("max_rank", [2, 10, 12])
+def test_report_json_is_json_dumps_on_every_suite_report(max_rank):
+    suite = verify_suite(max_rank)
+    for rep in suite.reports:
+        assert report_to_json(rep) == json.dumps(report_to_dict(rep), indent=2), rep[:3]
+    assert suite_to_json(suite) == json.dumps(suite_to_dict(suite), indent=2)
+
+
+@pytest.mark.parametrize("label,p", [("B9", 9), ("E6", 1), ("C5", 1), ("D6", 3), ("G2", 1),
+                                     ("F4", 2), ("E8", 4)])
+def test_witness_report_json_is_json_dumps(label, p):
+    # The witnesses are the writer's deepest nesting: a list per d of step objects
+    # holding a list of coordinates.
+    rep = verify(label, omitted=p, with_witnesses=True)
+    assert report_to_json(rep) == json.dumps(report_to_dict(rep), indent=2)
+
+
 def _patch_verify(monkeypatch, change):
     """Route verify_suite's calls to verify through ``change(config, report)``."""
     module = sys.modules["weylpath.verify"]
