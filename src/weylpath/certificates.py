@@ -38,7 +38,6 @@ from .rootsystem import (
 from .vanishing import (
     Certificate, _make_step, _same, _search_data, _target_cached, shortest_path,
 )
-from .weylgroup import cominuscule_indices
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +183,10 @@ _CLASSICAL = {"A": _catalog_A, "C": _catalog_C, "D": _catalog_D}
 
 def _catalog_covers(rs: RootSystem, p: int) -> bool:
     """Whether the catalog tabulates P_p: every cominuscule parabolic
-    except the odd quadric B_n/P1, which has no tabulated tuples."""
-    return rs.rst.family != "B" and p in cominuscule_indices(rs)
+    except the odd quadric B_n/P1, which has no tabulated tuples.  P_p is
+    cominuscule when theta_p, p's coefficient in the highest root (the
+    last positive root), is 1."""
+    return rs.rst.family != "B" and rs.positive_roots[-1][p - 1] == 1
 
 
 def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate | None:
@@ -210,7 +211,7 @@ def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certifi
     else:
         entries = tuple((tuple(coords[j - 1] for j in _E6_FLIP), m)
                         for coords, m in _exceptional_entries(_E6_P1, _E6_FLIP[d - 1]))
-    return Certificate(rst=rs.rst, omitted=p, d=d, entries=entries, origin="catalog")
+    return Certificate(rs.rst, p, d, entries, "catalog")
 
 
 def catalog_pair_choices(rs: RootSystem, d: int) -> list:
@@ -287,8 +288,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-# Largest rank a certificate file may name: far above every rank in use,
-# and low enough that building the root system it names stays cheap.
+# Largest rank a certificate file, or the CLI's --rank and --max-rank, may
+# name: far above every rank in use, and low enough that building the root
+# system it names stays cheap.
 MAX_CERTIFICATE_RANK = 64
 
 
@@ -369,16 +371,16 @@ def _dumps(value, pad: str = "") -> str:
     lines are indented by ``pad``.
 
     With an indent, json.dumps never reaches the C encoder under Python
-    3.10 and 3.11: its pure-Python encoder passes every chunk up through
-    one generator per level of nesting.  Here each non-empty list, tuple
-    or dict with ``str`` keys is one ``join`` of its items, and a scalar
-    of an exact type in ``_SCALARS`` is written by its entry there, as
-    the stdlib writes it.  Everything else (a float, an empty container,
-    a subclass, a key that is not a ``str``, an unknown type) goes to the
-    stdlib's encoder, its lines shifted by ``pad``, which is how json.dumps
-    writes that value at this depth; an error is the stdlib's.
-    Only a container that holds itself differs: it recurses until
-    RecursionError instead of raising ValueError.
+    up to 3.12 (3.13's does take an indent): its pure-Python encoder
+    passes every chunk up through one generator per level of nesting.
+    Here each non-empty list, tuple or dict with ``str`` keys is one
+    ``join`` of its items, and a scalar of an exact type in ``_SCALARS``
+    is written by its entry there, as the stdlib writes it.  Everything
+    else (a float, an empty container, a subclass, a key that is not a
+    ``str``, an unknown type) goes to the stdlib's encoder, its lines
+    shifted by ``pad``, which is how json.dumps writes that value at this
+    depth; an error is the stdlib's.  Only a container that holds itself
+    differs: it recurses until RecursionError instead of raising ValueError.
     """
     write = _SCALARS.get(type(value))
     if write is not None:

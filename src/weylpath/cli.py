@@ -10,8 +10,10 @@ Verbs map one-to-one onto the library surface:
                        the simple roots
 * ``check-cert``     - validate a certificate file clause by clause
 
-Reports go to stdout, diagnostics to stderr.  ``--format json`` and
-``--format markdown`` carry identical numeric content.
+Every rank a verb takes (``--rank``, ``--max-rank``, a certificate
+file's) is capped at ``MAX_CERTIFICATE_RANK``.  Reports go to stdout,
+diagnostics to stderr.  ``--format json`` and ``--format markdown``
+carry identical numeric content.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .certificates import _dumps, load_certificate
+from .certificates import MAX_CERTIFICATE_RANK, _dumps, load_certificate
 from .rootsystem import Parabolic, RootSystemError, build
 from .vanishing import InternalInconsistencyError, check_certificate
 from .verify import (
@@ -154,6 +156,14 @@ def _cmd_check_cert(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A rank's root system holds rank*(rank+1)/2 roots or more, each of rank
+    # entries: refuse a large one before anything is built.
+    for flag, rank in (("--rank", getattr(args, "rank", None)),
+                       ("--max-rank", getattr(args, "max_rank", None))):
+        if rank is not None and rank > MAX_CERTIFICATE_RANK:
+            print(f"error: {flag} {rank} exceeds the cap of {MAX_CERTIFICATE_RANK}",
+                  file=sys.stderr)
+            return 2
     handlers = {
         "list-minuscule": _cmd_list_minuscule,
         "verify": _cmd_verify,

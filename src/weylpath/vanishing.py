@@ -64,7 +64,7 @@ import struct
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from operator import add, floordiv, mul, sub
+from operator import floordiv, mul, sub
 
 from .rootsystem import (
     Parabolic, RootSystem, RootSystemError, RootSystemType, Weight, _eps_l1, build,
@@ -749,8 +749,7 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
     d = cert.d
     rs._check_index(d)
     tw, chi0, ca, _ = _target_cached(rs.rst, parab, d)
-    target, sink = tw.root_coords, _maximal_at(rs.rank, d)[1]
-    entries = cert.entries
+    target, entries = tw.root_coords, cert.entries
     coroots, funds = rs._coroots, rs._fund_coords
     failures = []
     listed = {}  # per-entry check -> entries that failed it
@@ -762,12 +761,15 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
         elif count == MAX_PAIR_FAILURES + 1:
             failures.append(f"{check} list cut after {MAX_PAIR_FAILURES} entries")
 
+    # One pass: membership, each entry's root index, its weighted row for
+    # clause (a), and the cost, summed in entry order as Certificate.cost does.
     roots_ok = True
     outside = True
     shaped = True  # every entry has rank coordinates, which clause (a) needs
-    index, rank, ks = rs._root_index, rs.rank, []
+    index, rank, ks, rows, cost = rs._root_index, rs.rank, [], [], 0
     ints = [int] * rank  # the types of a root's coordinates
     for c, n in entries:
+        cost += n
         if type(n) is not int:
             roots_ok = False
             fail("multiplicity not an integer:", f"multiplicity {n!r} is not an integer for {c}")
@@ -788,12 +790,10 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
             outside = False
             fail(f"in the Levi at index {d}:", f"{c} lies in the Levi at index {d}")
         ks.append(k)
+        rows.append(c if n == 1 else [n * x for x in c])
 
-    # One list stepped in place: a short entry shortens it, as zip would.
-    total = [0] * rank
-    for c, n in entries:
-        total[:] = map(add, total, c if n == 1 else [n * x for x in c])
-    total = tuple(total)
+    # Column sums; a short entry shortens the total, as zip does.
+    total = tuple(map(sum, zip((0,) * rank, *rows)))
     sum_matches = shaped and total == target
     if not sum_matches:
         failures.append(f"(a) sum {total} != target {target}")
@@ -804,10 +804,9 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
     # Every entry is a positive root, so its coroot and fundamental
     # coordinates come from the root system's integer table.
     if roots_ok and strict:
-        first = {}
-        for (c, _), k in zip(entries, ks):
-            first.setdefault(k, c)
-        distinct = list(first.items())
+        # Equal indices are equal coordinates, so the last value kept per
+        # root is its first: the distinct roots in first-appearance order.
+        distinct = list(dict(zip(ks, (c for c, _ in entries))).items())
         bad = ((bi, bj) for i, (ki, bi) in enumerate(distinct) for kj, bj in distinct[i + 1:]
                if sum(map(mul, funds[ki], coroots[kj])) != 0)
         for count, (bi, bj) in enumerate(bad):
@@ -837,46 +836,31 @@ def check_certificate(rs: RootSystem, cert: Certificate, *,
             f = funds[k]
             chi = tuple(map(sub, chi, f if n == 1 else [n * b for b in f]))
         else:
-            if chi != sink:
+            if chi != (sink := _maximal_at(rank, d)[1]):
                 ladder_sequential = False
                 failures.append(f"sequential ladder ends at {chi}, not {sink}")
 
     m = _dijkstra_cached(rs.rst, parab, d)
-    cost = cert.cost
     cost_matches = cost == m and (ca is None or cost == ca)
     if not cost_matches:
         failures.append(f"(d) cost {cost} != dijkstra {m}" + ("" if ca is None else f", c_alpha {ca}"))
 
-    return CertificateValidation(
-        certificate=cert,
-        roots_ok=roots_ok,
-        outside_levi=outside,
-        sum_matches=sum_matches,
-        orthogonal=orthogonal,
-        ladder_uniform=ladder_uniform,
-        ladder_sequential=ladder_sequential,
-        cost=cost,
-        dijkstra=m,
-        c_alpha=ca,
-        cost_matches=cost_matches,
-        failures=tuple(failures),
-    )
+    return CertificateValidation(cert, roots_ok, outside, sum_matches, orthogonal, ladder_uniform,
+                                 ladder_sequential, cost, m, ca, cost_matches, tuple(failures))
 
 
 def vanishing_result(rs: RootSystem, parabolic: Parabolic, d: int,
                      certificate_cost: int | None = None) -> VanishingResult:
     """Assemble all routes to m_d and check that the defined ones agree."""
-    m = dijkstra_order(rs, parabolic, d)
+    rs._check_index(d)
+    m = _dijkstra_cached(rs.rst, parabolic, d)
     lat = lattice_lower_bound(rs, parabolic, d)
     ca = coefficient_lower_bound(rs, parabolic, d)
     if not ((ca is None or ca <= lat) and lat <= m):
         raise InternalInconsistencyError(
-            f"{rs.rst} d={d}: bound chain violated: c_alpha={ca} lattice={lat} dijkstra={m}"
+            f"{rs.rst} P={sorted(parabolic.omitted)} d={d}: bound chain violated: "
+            f"c_alpha={ca} lattice={lat} dijkstra={m}"
         )
-    values = [m, lat] + ([ca] if ca is not None else []) \
-        + ([certificate_cost] if certificate_cost is not None else [])
-    agreed = len(set(values)) == 1
-    return VanishingResult(
-        d=d, m_dijkstra=m, m_lattice_lb=lat, c_alpha=ca,
-        certificate_cost=certificate_cost, agreed=agreed,
-    )
+    agreed = (lat == m and (ca is None or ca == m)
+              and (certificate_cost is None or certificate_cost == m))
+    return VanishingResult(d, m, lat, ca, certificate_cost, agreed)

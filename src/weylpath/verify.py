@@ -29,8 +29,10 @@ equal to a plain tuple of the same values.
 :func:`report_to_json` and :func:`suite_to_json` write indent-2 JSON
 through ``certificates._dumps``, one ``join`` per container.  Its output
 is byte-identical to ``json.dumps(..., indent=2)``, whose pure-Python
-encoder (the C one takes no indent) cost about a tenth of a cold
-``verify-all``.
+encoder (up to Python 3.12 the C one takes no indent) cost about a tenth
+of a cold ``verify-all``.  :func:`suite_to_json` writes each report once,
+as :func:`report_to_json` does, and shifts its lines by the 4 spaces of
+its depth in the suite document, instead of writing it again nested.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ def report_to_dict(rep: VerificationReport) -> dict:
         },
         "minuscule": rep.minuscule,
         # Kept only for the pinned report bytes; the golden re-record of ROADMAP item 1 drops it.
-        "rows": [{**r._asdict(), "m_dijkstra_relaxed": None} for r in rep.rows],
+        "rows": [dict(zip(VanishingResult._fields, r), m_dijkstra_relaxed=None)
+                 for r in rep.rows],
         "sum_m": rep.sum_m,
         "dim_gp": rep.dim_gp,
         "identity": rep.identity,
@@ -290,7 +293,8 @@ def verify_suite(max_rank: int = 12) -> SuiteReport:
                        tuple(spin), tuple(parity), tuple(negative), ok)
 
 
-def suite_to_dict(suite: SuiteReport) -> dict:
+def _suite_checks(suite: SuiteReport) -> dict:
+    """Every key of :func:`suite_to_dict` but the last, ``reports``."""
     return {
         "max_rank": suite.max_rank,
         "ok": suite.ok,
@@ -308,12 +312,28 @@ def suite_to_dict(suite: SuiteReport) -> dict:
             {"n": n, "sum_m": s, "dim_gp": dim, "ok": ok}
             for n, s, dim, ok in suite.negative_checks
         ],
-        "reports": [report_to_dict(r) for r in suite.reports],
     }
 
 
+def suite_to_dict(suite: SuiteReport) -> dict:
+    return {**_suite_checks(suite), "reports": [report_to_dict(r) for r in suite.reports]}
+
+
 def suite_to_json(suite: SuiteReport) -> str:
-    return _dumps(suite_to_dict(suite))
+    """``json.dumps(suite_to_dict(suite), indent=2)``, byte for byte.
+
+    Each report is written once at top level, as :func:`report_to_json`
+    writes it (not through it, so a traced run counts one serialize span
+    per public call), and its lines shifted by the 4 spaces of its depth
+    in the suite: JSON text holds no raw newline, so every one in it
+    starts a line.
+    """
+    head = _dumps(_suite_checks(suite))[:-2]  # "{...", without "\n}"
+    if not suite.reports:
+        return head + ',\n  "reports": []\n}'
+    reports = ",\n    ".join([_dumps(report_to_dict(r)).replace("\n", "\n    ")
+                               for r in suite.reports])
+    return f'{head},\n  "reports": [\n    {reports}\n  ]\n}}'
 
 
 # The package's loaded modules at the last scan, and the caches found in them.

@@ -4,9 +4,12 @@ import pytest
 
 from weylpath import (
     Parabolic, build, catalog_certificate, certificate_to_dict, dump_certificate,
-    greedy_certificate,
+    greedy_certificate, verify_suite,
 )
+from weylpath import cli
+from weylpath.certificates import MAX_CERTIFICATE_RANK
 from weylpath.cli import main
+from weylpath.rootsystem import RootSystem
 from weylpath.vanishing import Certificate
 
 
@@ -193,3 +196,42 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "check-cert", str(path))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: malformed certificate data")
+
+
+# -- the rank cap --------------------------------------------------------------
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"built or swept {args}")
+
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    monkeypatch.setattr(cli, "verify_suite", refuse)
+
+
+OVER_CAP = [
+    ("--rank", ["verify", "--family", "A", "--rank", "{r}", "--parabolic", "1"]),
+    ("--rank", ["verify", "--family", "A", "--rank", "{r}", "--parabolic", "1", "--witnesses"]),
+    ("--rank", ["tau", "--family", "D", "--rank", "{r}", "--parabolic", "2"]),
+    ("--rank", ["list-minuscule", "--family", "B", "--rank", "{r}"]),
+    ("--max-rank", ["verify-all", "--max-rank", "{r}", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", OVER_CAP)
+@pytest.mark.parametrize("rank", [MAX_CERTIFICATE_RANK + 1, 3000])
+def test_ranks_above_the_cap_are_refused_before_any_build(capsys, nothing_built, flag, argv, rank):
+    code, out, err = run(capsys, *(a.format(r=rank) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {rank} exceeds the cap of {MAX_CERTIFICATE_RANK}\n"
+
+
+def test_ranks_at_the_cap_still_run(capsys, monkeypatch):
+    code, out, _ = run(capsys, "list-minuscule", "--family", "A",
+                       "--rank", str(MAX_CERTIFICATE_RANK), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["minuscule"] == list(range(1, MAX_CERTIFICATE_RANK + 1))
+    swept = []
+    monkeypatch.setattr(cli, "verify_suite", lambda k: swept.append(k) or verify_suite(2))
+    code, _, _ = run(capsys, "verify-all", "--max-rank", str(MAX_CERTIFICATE_RANK))
+    assert (code, swept) == (0, [MAX_CERTIFICATE_RANK])

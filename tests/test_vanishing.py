@@ -1396,6 +1396,46 @@ def test_vanishing_result_assembly():
     assert not row.agreed
 
 
+@pytest.mark.parametrize("d", [0, 7, True, 1.0])
+def test_vanishing_result_rejects_a_bad_index(d):
+    with pytest.raises(RootSystemError):
+        vanishing_result(build("E6"), P(6, 1), d)
+
+
+def test_vanishing_result_rejects_a_parabolic_of_another_rank():
+    with pytest.raises(RootSystemError):
+        vanishing_result(build("E6"), P(7, 1), 2)
+
+
+def test_vanishing_result_names_the_cell_of_a_broken_bound_chain(monkeypatch):
+    rs, parab = build("A5"), P(5, 2)
+    order = dijkstra_order(rs, parab, 3)
+    # The lattice bound is a lower bound of the order; one above it breaks the chain.
+    monkeypatch.setattr(vanishing, "_lattice_cached", lambda rst, parab, d: order + 1)
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"^A5 P=\[2\] d=3: bound chain violated: .*lattice={order + 1} "
+                             rf"dijkstra={order}$"):
+        vanishing_result(rs, parab, 3)
+
+
+def test_vanishing_result_agreed_is_the_list_and_set_rule():
+    def old_rule(m, lat, ca, cost):
+        values = [m, lat] + ([ca] if ca is not None else []) + ([cost] if cost is not None else [])
+        return len(set(values)) == 1
+
+    rows = 0
+    for rep in verify_suite(8).reports:
+        rs, parab = build(rep.family, rep.rank), P(rep.rank, rep.omitted)
+        for d in range(1, rep.rank + 1):
+            m = dijkstra_order(rs, parab, d)
+            for cost in (None, m, m - 1, m + 1):
+                row = vanishing_result(rs, parab, d, certificate_cost=cost)
+                assert row == (d, m, row.m_lattice_lb, row.c_alpha, cost, row.agreed)
+                assert row.agreed is old_rule(m, row.m_lattice_lb, row.c_alpha, cost), (rep[:3], d, cost)
+                rows += 1
+    assert rows == 4 * sum(rep.rank for rep in verify_suite(8).reports)
+
+
 def test_diagram_flip_symmetry_of_orders():
     # relabeling by a diagram automorphism applied to (P, d) at once
     # leaves every order unchanged

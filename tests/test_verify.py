@@ -10,8 +10,8 @@ import pytest
 
 import weylpath.rootsystem
 from weylpath import (
-    Parabolic, RootSystem, RootSystemError, build, clear_caches, cominuscule_indices,
-    dim_quotient, list_minuscule,
+    Parabolic, RootSystem, RootSystemError, SuiteReport, build, clear_caches,
+    cominuscule_indices, dim_quotient, list_minuscule,
     report_from_json, report_to_dict, report_to_json, report_to_markdown,
     shortest_path, suite_to_dict, suite_to_json, suite_to_markdown,
     tabulated_configurations, verify, verify_suite,
@@ -286,6 +286,59 @@ def test_witness_report_json_is_json_dumps(label, p):
     # holding a list of coordinates.
     rep = verify(label, omitted=p, with_witnesses=True)
     assert report_to_json(rep) == json.dumps(report_to_dict(rep), indent=2)
+
+
+# suite_to_json writes each report once at top level and shifts its lines
+# into place; on inputs verify never makes it must still be json.dumps.
+
+def _edited(rep, edit):
+    """``rep`` read back by report_from_json after ``edit`` changed its data."""
+    data = report_to_dict(rep)
+    edit(data)
+    return report_from_json(json.dumps(data))
+
+
+def _set_row(key, value):
+    def edit(data):
+        data["rows"][0][key] = value
+    return edit
+
+
+def _set_config(key, value):
+    def edit(data):
+        data["config"][key] = value
+    return edit
+
+
+EDITS = {
+    "float row value": _set_row("m_lattice_lb", 2.5),
+    "float sum": lambda data: data.update(sum_m=1e-7),
+    "non-ASCII family": _set_config("family", "\u00c9\u2113"),
+    "escaped newline": _set_config("family", "A\nB"),
+    "newline in a row": _set_row("agreed", "yes\nno"),
+    "filled m_dijkstra_relaxed": _set_row("m_dijkstra_relaxed", 3),
+}
+
+
+def _checks_suite(reports, max_rank=2):
+    return SuiteReport(max_rank, tuple(reports), (), (("A", 1, 1, 2),), ((2, (1, 1), (1, 0, 1), True),),
+                       ((4, 1, 2, True),), ((2, 3, 4, True),), False)
+
+
+def test_suite_json_without_reports_is_json_dumps():
+    suite = _checks_suite([])
+    assert suite_to_json(suite) == json.dumps(suite_to_dict(suite), indent=2)
+    assert json.loads(suite_to_json(suite))["reports"] == []
+
+
+@pytest.mark.parametrize("with_witnesses", [False, True])
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_suite_json_of_edited_reports_is_json_dumps(edit, with_witnesses):
+    base = [verify(label, omitted=p, with_witnesses=with_witnesses)
+            for label, p in (("A3", 2), ("B3", 3), ("G2", 1))]
+    reports = [_edited(base[0], EDITS[edit]), *base[1:], _edited(base[2], EDITS[edit])]
+    for suite in (_checks_suite(reports), _checks_suite(reports[:1])):
+        assert suite_to_json(suite) == json.dumps(suite_to_dict(suite), indent=2), edit
 
 
 def _patch_verify(monkeypatch, change):
