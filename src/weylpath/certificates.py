@@ -181,12 +181,12 @@ def _catalog_D(n, p, d):
 _CLASSICAL = {"A": _catalog_A, "C": _catalog_C, "D": _catalog_D}
 
 
-def _catalog_covers(rs: RootSystem, p: int) -> bool:
-    """Whether the catalog tabulates P_p: every cominuscule parabolic
-    except the odd quadric B_n/P1, which has no tabulated tuples.  P_p is
-    cominuscule when theta_p, p's coefficient in the highest root (the
-    last positive root), is 1."""
-    return rs.rst.family != "B" and rs.positive_roots[-1][p - 1] == 1
+def _catalog_covers(family: str, theta: tuple, p: int) -> bool:
+    """Whether the catalog tabulates P_p of a system of ``family`` with
+    highest root ``theta``: every cominuscule parabolic except the odd
+    quadric B_n/P1, which has no tabulated tuples.  P_p is cominuscule
+    when theta_p, p's coefficient in the highest root, is 1."""
+    return family != "B" and theta[p - 1] == 1
 
 
 def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certificate | None:
@@ -198,10 +198,10 @@ def catalog_certificate(rs: RootSystem, parabolic: Parabolic, d: int) -> Certifi
     """
     rs._check_parabolic(parabolic)
     rs._check_index(d)
-    p = parabolic.omitted_index
-    if not _catalog_covers(rs, p):
+    p, fam = parabolic.omitted_index, rs.rst.family
+    # The highest root is the last positive root.
+    if not _catalog_covers(fam, rs.positive_roots[-1], p):
         return None
-    fam = rs.rst.family
     if fam in _CLASSICAL:
         entries = _eps_entries(rs, _CLASSICAL[fam](rs.rank + (fam == "A"), p, d))
     elif rs.rst.label == "E7":

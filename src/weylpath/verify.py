@@ -42,11 +42,13 @@ import sys
 from collections import namedtuple
 
 from .certificates import _catalog_covers, _dumps, best_certificate
-from .rootsystem import _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, build
+from .rootsystem import (
+    _RANK_BOUNDS, Parabolic, RootSystem, RootSystemError, RootSystemType, build,
+)
 from .vanishing import (
     VanishingResult, _system, check_certificate, shortest_path, vanishing_result,
 )
-from .weylgroup import minuscule_indices
+from .weylgroup import _highest_root, minuscule_indices
 
 
 class VerificationReport(namedtuple("VerificationReport", [
@@ -227,14 +229,18 @@ def tabulated_configurations(max_rank: int = 12):
     """Every (family, rank, p) of rank <= max_rank that the catalog covers.
 
     That is every cominuscule parabolic except the odd quadric B_n/P1,
-    by family, then rank, then p.  A max rank that is not a plain int
-    raises :class:`RootSystemError` when iteration starts.
+    by family, then rank, then p.  Listing builds nothing: coverage is
+    read from each highest root, one raise over W from the Cartan matrix
+    (:func:`weylgroup._highest_root`), so no root system is built or
+    cached.  A max rank that is not a plain int raises
+    :class:`RootSystemError` when iteration starts.
     """
     _check_max_rank(max_rank)
     for fam, (lo, hi) in _RANK_BOUNDS.items():
         for rank in range(lo, min(max_rank, hi or max_rank) + 1):
-            rs = build(fam, rank)
-            yield from ((fam, rank, p) for p in range(1, rank + 1) if _catalog_covers(rs, p))
+            theta = _highest_root(RootSystemType(fam, rank))
+            yield from ((fam, rank, p) for p in range(1, rank + 1)
+                        if _catalog_covers(fam, theta, p))
 
 
 class SuiteReport(namedtuple("SuiteReport", [
@@ -257,6 +263,15 @@ def verify_suite(max_rank: int = 12) -> SuiteReport:
     ``reports`` holds one report per configuration: the tabulated ones,
     then B_n/P_n for n < max_rank, then C_n/P1.  The identity is checked
     over the tabulated reports, and agreement over every row of every report.
+
+    The configurations run one root system at a time, in order of first
+    listing (C_n/P1 right after C_n/P_n, the B_n/P_n after E7), and
+    :func:`clear_caches` runs after each system's last one, so at most
+    one system's cached records are alive at once; the parabolics of a
+    system still share its memos.  The suite returns with every cache
+    empty, as :func:`clear_caches` leaves them, whatever was cached
+    before.  A thread searching beside it keeps the records it holds and
+    loses only the memo facts it records after a release.
     """
     _check_max_rank(max_rank)
     if max_rank < 2:
@@ -264,10 +279,17 @@ def verify_suite(max_rank: int = 12) -> SuiteReport:
     tabulated = list(tabulated_configurations(max_rank))
     configs = (tabulated + [("B", n, n) for n in range(2, max_rank)]
                + [("C", n, 1) for n in range(2, max_rank + 1)])
-    reports = tuple(verify(fam, rank, omitted=p) for fam, rank, p in configs)
-    # D_n/P_n is tabulated for every n >= 3, so a failed lookup means the
-    # coverage changed: it raises rather than verifying anything again.
-    by_config = dict(zip(configs, reports))
+    systems = {}
+    for config in configs:
+        systems.setdefault(config[:2], []).append(config)
+    # D_n/P_n is tabulated for every n >= 3, so a failed lookup below means
+    # the coverage changed: it raises rather than verifying anything again.
+    by_config = {}
+    for group in systems.values():
+        for fam, rank, p in group:
+            by_config[fam, rank, p] = verify(fam, rank, omitted=p)
+        clear_caches()
+    reports = tuple(by_config[config] for config in configs)
 
     spin = []
     for n in range(2, max_rank):

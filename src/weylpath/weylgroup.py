@@ -11,7 +11,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .rootsystem import Parabolic, Root, RootSystem, RootSystemError, Weight
+from .rootsystem import (
+    Parabolic, Root, RootSystem, RootSystemError, RootSystemType, Weight,
+    _cartan_and_symmetrizers,
+)
 
 WeylWord = tuple
 
@@ -59,6 +62,20 @@ def _raise(cols, indices, chi):
     """The W_J-dominant point of chi and, in root coordinates, how far it
     lies above chi (see :func:`_make_canon`)."""
     return _make_canon(cols, indices)(chi, (0,) * len(cols))
+
+
+def _highest_root(rst: RootSystemType) -> Root:
+    """The highest root of type ``rst``, from its Cartan matrix alone.
+
+    It is the dominant point of a long root's W-orbit (Bourbaki, *Lie
+    Groups and Lie Algebras*, ch. VI, 1.8), so one raise of a long simple
+    root over W gives it: no root is enumerated and nothing is cached.
+    """
+    A, sym = _cartan_and_symmetrizers(rst)
+    n, i = rst.rank, sym.index(max(sym))
+    cols = tuple(tuple((j, A[j][c]) for j in range(n) if A[j][c]) for c in range(n))
+    _, v = _raise(cols, range(n), tuple(row[i] for row in A))
+    return tuple(x + (j == i) for j, x in enumerate(v))
 
 
 def _sigma(rs: RootSystem) -> tuple:

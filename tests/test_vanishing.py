@@ -679,42 +679,66 @@ def test_profiles_do_not_depend_on_the_order_of_parabolics(label):
     clear_caches()
 
 
-def test_memo_facts_match_cold_searches():
-    # Every fact a sweep and some witness walks leave in the memos is true:
-    # an exact distance equals a cold deepening from its orbit, and a
+def _check_memo_facts(family, rank, counts):
+    # An exact distance equals a cold deepening from its orbit, and a
     # failed budget lies below it, or the orbit cannot reach the sink at
     # all (a lattice residual with no decomposition into usable roots).
     # The order's states carry the residual of chi + omega_d, the
     # lattice's that of chi itself.
+    rs = build(family, rank)
+    for d in range(1, rank + 1):
+        search = _search_data(rs.rst, d)
+        for memo, moves, shift in ((search.order, search.ladder, 1),
+                                   (search.lattice, search.subtract, 0)):
+            failed, exact = memo
+            for chi in {**failed, **exact}:
+                weight = [*chi]
+                weight[d - 1] += shift
+                v = tuple(map(int, rs.to_root_basis(weight)))
+                try:
+                    distance = vanishing._deepen(search, moves, ({}, {}), chi, v,
+                                                 (rs.rst, P(rank, d), d), "cold")
+                except InternalInconsistencyError:  # no walk under ht(v) reaches the sink
+                    distance = float("inf")
+                if chi in exact:
+                    assert exact[chi] == distance, (family, rank, d, chi)
+                    counts["exact"] += 1
+                if chi in failed:
+                    assert failed[chi] < distance, (family, rank, d, chi)
+                    counts["failed"] += 1
+
+
+def test_memo_facts_match_cold_searches(monkeypatch):
+    # Every fact a sweep and some witness walks leave in the memos is true.
+    # The suite drops each system's records after its last configuration,
+    # so each system's memos are checked just before that release.
+    module = sys.modules["weylpath.verify"]
+    verify_one, release = module.verify, module.clear_caches
+    pending, checked, counts = [], [], {"exact": 0, "failed": 0}
+
+    def noting(family, rank=None, omitted=None, **kwargs):
+        pending.append((family, rank))
+        return verify_one(family, rank, omitted=omitted, **kwargs)
+
+    def check_then_release():
+        for system in dict.fromkeys(pending):
+            _check_memo_facts(*system, counts)
+            checked.append(system)
+        pending.clear()
+        release()
+
+    monkeypatch.setattr(module, "verify", noting)
+    monkeypatch.setattr(module, "clear_caches", check_then_release)
     clear_caches()
     systems = sorted({(rep.family, rep.rank) for rep in verify_suite(8).reports})
+    assert sorted(checked) == systems and len(checked) == len(systems)
+    assert min(counts.values()) > 0, counts
+    witness_counts = {"exact": 0, "failed": 0}
     for config in (("E", 6, 4), ("B", 6, 6), ("D", 6, 3)):
         verify(*config, with_witnesses=True)
-    counts = {"exact": 0, "failed": 0}
-    for family, rank in systems:
-        rs = build(family, rank)
-        for d in range(1, rank + 1):
-            search = _search_data(rs.rst, d)
-            for memo, moves, shift in ((search.order, search.ladder, 1),
-                                       (search.lattice, search.subtract, 0)):
-                failed, exact = memo
-                for chi in {**failed, **exact}:
-                    weight = [*chi]
-                    weight[d - 1] += shift
-                    v = tuple(map(int, rs.to_root_basis(weight)))
-                    try:
-                        distance = vanishing._deepen(search, moves, ({}, {}), chi, v,
-                                                     (rs.rst, P(rank, d), d), "cold")
-                    except InternalInconsistencyError:  # no walk under ht(v) reaches the sink
-                        distance = float("inf")
-                    if chi in exact:
-                        assert exact[chi] == distance, (family, rank, d, chi)
-                        counts["exact"] += 1
-                    if chi in failed:
-                        assert failed[chi] < distance, (family, rank, d, chi)
-                        counts["failed"] += 1
-    assert min(counts.values()) > 0, counts
-    clear_caches()
+        _check_memo_facts(*config[:2], witness_counts)
+        clear_caches()
+    assert witness_counts["exact"] > 0, witness_counts
 
 
 class _Sealed:

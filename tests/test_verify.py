@@ -119,6 +119,18 @@ def test_tabulated_configurations_match_old_hand_list():
         assert list(tabulated_configurations(max_rank)) == _old_tabulated_configurations(max_rank)
 
 
+def test_listing_at_the_rank_cap_builds_no_root_system(monkeypatch):
+    def refuse(self, rst):
+        raise AssertionError(f"built {rst}")
+
+    clear_caches()
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    configs = list(tabulated_configurations(64))
+    assert len(configs) == 2332
+    assert configs == _old_tabulated_configurations(64)
+    assert weylpath.rootsystem._build_cached.cache_info().currsize == 0
+
+
 def test_identity_holds_exactly_at_cominuscule_parabolics():
     labels = ([f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
                for n in range(lo, 9)] + ["E6", "E7", "F4", "G2"])
@@ -356,10 +368,37 @@ def test_suite_verifies_each_configuration_once(monkeypatch):
     calls = []
     _patch_verify(monkeypatch, lambda config, rep: calls.append(config) or rep)
     suite = verify_suite(9)
-    assert calls == [(rep.family, rep.rank, rep.omitted) for rep in suite.reports]
-    assert len(set(calls)) == len(calls)
-    assert calls[-8:] == [("C", n, 1) for n in range(2, 10)]
-    assert calls[-15:-8] == [("B", n, n) for n in range(2, 9)]
+    listed = [(rep.family, rep.rank, rep.omitted) for rep in suite.reports]
+    assert len(set(calls)) == len(calls) and sorted(calls) == sorted(listed)
+    # Reports come in listing order: the tabulated ones, B_n/P_n, C_n/P1.
+    assert listed[:-15] == list(tabulated_configurations(9))
+    assert listed[-15:-8] == [("B", n, n) for n in range(2, 9)]
+    assert listed[-8:] == [("C", n, 1) for n in range(2, 10)]
+    # Calls run one root system at a time, in order of first listing:
+    # C_n/P1 right after C_n/P_n, and the B_n/P_n after E7.
+    assert calls == ([("A", r, p) for r in range(1, 10) for p in range(1, r + 1)]
+                     + [("C", n, p) for n in range(2, 10) for p in (n, 1)]
+                     + [("D", n, p) for n in range(3, 10) for p in (1, n - 1, n)]
+                     + [("E", 6, 1), ("E", 6, 6), ("E", 7, 7)]
+                     + [("B", n, n) for n in range(2, 9)])
+
+
+def test_suite_holds_one_root_system_at_a_time(monkeypatch):
+    built = weylpath.rootsystem._build_cached
+    seen = []
+    _patch_verify(monkeypatch, lambda config, rep: seen.append(built.cache_info().currsize) or rep)
+    clear_caches()
+    suite = verify_suite(12)
+    assert len(seen) == len(suite.reports)
+    assert set(seen) == {1}
+
+
+def test_suite_returns_with_every_cache_empty():
+    caches = _weylpath_caches()
+    verify("E", 6, omitted=2, with_witnesses=True)  # warm before the suite too
+    suite = verify_suite(7)
+    assert suite.ok
+    assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
 
 
 def test_c_node1_disagreement_reaches_the_suite(monkeypatch):

@@ -10,7 +10,7 @@ from weylpath import (
     weyl_involution, weyl_order, word_length, words_equal,
 )
 from weylpath import vanishing, weylgroup
-from weylpath.rootsystem import RootSystemError
+from weylpath.rootsystem import _RANK_BOUNDS, RootSystemError, RootSystemType, _build_cached
 
 
 def test_longest_element_rank_one():
@@ -252,6 +252,15 @@ def test_cominuscule_index_has_coefficient_at_most_one_in_every_root():
         assert cominuscule_indices(rs) == [j for j in range(1, rs.rank + 1) if highest[j - 1] == 1]
         for j in cominuscule_indices(rs):
             assert max(c[j - 1] for c in rs.positive_roots) == 1, (label, j)
+
+
+def test_highest_root_from_one_raise_is_the_last_positive_root():
+    types = [RootSystemType(f, n) for f, (lo, hi) in _RANK_BOUNDS.items()
+             for n in range(lo, (hi or 24) + 1)]
+    types += [RootSystemType(f, n) for f in "ABCD" for n in (32, 48, 64)]
+    for rst in types:
+        assert weylgroup._highest_root(rst) == build(rst).positive_roots[-1], rst
+        _build_cached.cache_clear()
 
 
 def test_minuscule_orbit_pairings_are_small():
